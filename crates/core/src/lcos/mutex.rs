@@ -116,23 +116,25 @@ impl<T: Send + 'static> AsyncMutex<T> {
 
     /// Acquire the lock as a future of the guard.
     pub fn lock(&self) -> Future<AsyncMutexGuard<T>> {
-        let acquired = {
-            let mut st = self.inner.state.lock();
-            if st.locked {
-                false
-            } else {
-                st.locked = true;
-                true
-            }
-        };
-        let inner = self.inner.clone();
         let mut p = self.make_promise();
         let f = p.future();
-        if acquired {
+        let granted = {
+            let mut st = self.inner.state.lock();
+            if st.locked {
+                // Queue under the same lock that saw it held: were the
+                // lock released in between, the holder's unlock would find
+                // no waiter and this one would never be granted.
+                st.waiters.push_back(p);
+                None
+            } else {
+                st.locked = true;
+                Some(p)
+            }
+        };
+        if let Some(p) = granted {
             p.set_value(());
-        } else {
-            self.inner.state.lock().waiters.push_back(p);
         }
+        let inner = self.inner.clone();
         f.then(move |()| AsyncMutexGuard { inner })
     }
 

@@ -82,27 +82,25 @@ impl Semaphore {
 
     /// Acquire one permit as a future.
     pub fn acquire(&self) -> Future<Permit> {
+        let mut p = self.make_promise();
+        let f = p.future();
         let granted = {
             let mut st = self.inner.state.lock();
             if st.permits > 0 {
                 st.permits -= 1;
-                true
+                Some(p)
             } else {
-                false
+                // Queue under the same lock that saw no permit: a release
+                // in between would otherwise find no waiter to hand it to.
+                st.waiters.push_back(p);
+                None
             }
         };
-        let inner = self.inner.clone();
-        if granted {
-            let mut p = self.make_promise();
-            let f = p.future();
+        if let Some(p) = granted {
             p.set_value(());
-            f.then(move |()| Permit { inner })
-        } else {
-            let mut p = self.make_promise();
-            let f = p.future();
-            self.inner.state.lock().waiters.push_back(p);
-            f.then(move |()| Permit { inner })
         }
+        let inner = self.inner.clone();
+        f.then(move |()| Permit { inner })
     }
 
     /// Try to acquire without waiting.

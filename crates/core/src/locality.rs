@@ -575,8 +575,9 @@ impl Cluster {
     /// connections, parcel coalescing per [`tcp::TcpConfig`]. The
     /// network-delay model still composes on top (delays are applied
     /// before the parcel is handed to the port). Wire-level counters
-    /// (`/parcels/.../bytes/sent`, `count/writes`) register on each
-    /// locality's counter registry.
+    /// (`/parcels/.../bytes/sent`, `count/writes`,
+    /// `count/dropped/corrupt-frame`) register on each locality's counter
+    /// registry.
     pub fn attach_tcp(&self, cfg: tcp::TcpConfig) -> Result<()> {
         let shared = &self.shared;
         let n = self.len();
@@ -620,6 +621,11 @@ impl Cluster {
                 CounterPath::new("parcels", i as u32, Instance::Total, "count/writes"),
                 move || p.writes(),
             );
+            let p = port.clone();
+            let path = "count/dropped/corrupt-frame";
+            reg.register(CounterPath::new("parcels", i as u32, Instance::Total, path), move || {
+                p.corrupt_frames()
+            });
         }
     }
 

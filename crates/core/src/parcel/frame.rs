@@ -137,7 +137,7 @@ fn read_u64(buf: &[u8], at: usize) -> u64 {
 /// Try to decode one frame from the front of `buf`.
 ///
 /// On success returns the parcel and the number of bytes consumed, so a
-/// reader loop can `drain(..consumed)` and try again on the remainder.
+/// reader loop can advance past them and try again on the remainder.
 pub fn decode(buf: &[u8]) -> Result<(Parcel, usize), DecodeError> {
     if buf.len() < HEADER_LEN {
         // Validate what we can see so garbage fails fast instead of

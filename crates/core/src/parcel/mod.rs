@@ -237,28 +237,28 @@ struct TimerState {
 /// "wire" that delays parcels by the modeled network latency.
 pub struct TimerWheel {
     state: Arc<(Mutex<TimerState>, Condvar)>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    /// Started by the first scheduled item: most wheels (one per cluster
+    /// and per fault layer) never defer anything, and a thread spawn is a
+    /// measurable share of building a cluster.
+    thread: std::sync::OnceLock<std::thread::JoinHandle<()>>,
 }
 
 impl TimerWheel {
-    /// Start the timer thread.
+    /// An empty wheel; its thread starts with the first scheduled item.
     pub fn new() -> TimerWheel {
-        let state = Arc::new((
-            Mutex::new(TimerState {
-                queue: BinaryHeap::new(),
-                items: HashMap::new(),
-                executing: 0,
-                next_seq: 0,
-                shutdown: false,
-            }),
-            Condvar::new(),
-        ));
-        let state2 = state.clone();
-        let thread = std::thread::Builder::new()
-            .name("parallex-timer".into())
-            .spawn(move || Self::run(state2))
-            .expect("failed to spawn timer thread");
-        TimerWheel { state, thread: Some(thread) }
+        TimerWheel {
+            state: Arc::new((
+                Mutex::new(TimerState {
+                    queue: BinaryHeap::new(),
+                    items: HashMap::new(),
+                    executing: 0,
+                    next_seq: 0,
+                    shutdown: false,
+                }),
+                Condvar::new(),
+            )),
+            thread: std::sync::OnceLock::new(),
+        }
     }
 
     fn run(state: Arc<(Mutex<TimerState>, Condvar)>) {
@@ -332,6 +332,13 @@ impl TimerWheel {
             st.items.insert(seq, Box::new(f));
             seq
         };
+        self.thread.get_or_init(|| {
+            let state = self.state.clone();
+            std::thread::Builder::new()
+                .name("parallex-timer".into())
+                .spawn(move || Self::run(state))
+                .expect("failed to spawn timer thread")
+        });
         cond.notify_one();
         TimerToken(seq)
     }

@@ -4,13 +4,16 @@
 //! (the Raspberry Pi study that accompanies the paper's platform line):
 //! each ordered pair of localities gets one TCP connection, owned by the
 //! *sender*. A per-peer writer thread drains a bounded byte queue and
-//! **coalesces** every frame queued within a small window into a single
-//! `write` — on loopback and gigabit-class links the syscall/packet
-//! overhead of many tiny active messages dominates, and batching them is
-//! what makes AMT halo traffic viable. A flush happens when either
+//! **coalesces** frames into `write`s — on loopback and gigabit-class
+//! links the syscall/packet overhead of many tiny active messages
+//! dominates, and batching them is what makes AMT halo traffic viable.
 //!
-//! * the queued bytes reach [`TcpConfig::coalesce_max_bytes`], or
-//! * the oldest queued frame has waited [`TcpConfig::coalesce_max_delay`].
+//! Batching is *self-clocked*: the writer takes everything queued the
+//! moment it wakes and writes it out in units of at most
+//! [`TcpConfig::coalesce_max_bytes`]. A frame waits only while the
+//! previous `write` is in flight, so a lone latency-bound halo leaves at
+//! once, while a burst that outpaces the syscall piles up behind it and
+//! goes out in a few large writes. There is no timed hold.
 //!
 //! Inbound, an accept thread performs a 4-byte hello handshake (the
 //! connecting locality announces its id) and spawns a reader that
@@ -29,15 +32,14 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Tuning knobs for [`TcpParcelport`].
 #[derive(Clone, Debug)]
 pub struct TcpConfig {
-    /// Flush the coalescing buffer once this many bytes are queued.
+    /// Upper bound on the bytes of one coalesced `write` (a unit always
+    /// holds at least one whole frame, so larger frames still go out).
     pub coalesce_max_bytes: usize,
-    /// Flush once the oldest queued frame has waited this long.
-    pub coalesce_max_delay: Duration,
     /// Backpressure bound: [`Parcelport::send`] blocks while a peer's
     /// queue holds this many bytes.
     pub queue_capacity_bytes: usize,
@@ -52,7 +54,6 @@ impl Default for TcpConfig {
     fn default() -> TcpConfig {
         TcpConfig {
             coalesce_max_bytes: 16 << 10,
-            coalesce_max_delay: Duration::from_micros(200),
             queue_capacity_bytes: 4 << 20,
             connect_attempts: 20,
             connect_backoff: Duration::from_millis(1),
@@ -61,13 +62,11 @@ impl Default for TcpConfig {
 }
 
 impl TcpConfig {
-    /// A configuration with coalescing effectively disabled: every parcel
-    /// is written as soon as the writer thread sees it (the baseline the
-    /// coalescing benchmark compares against).
+    /// A configuration with coalescing disabled: every parcel is its own
+    /// `write` (the baseline the coalescing benchmark compares against).
     pub fn uncoalesced() -> TcpConfig {
         TcpConfig {
             coalesce_max_bytes: 1,
-            coalesce_max_delay: Duration::ZERO,
             ..TcpConfig::default()
         }
     }
@@ -80,19 +79,19 @@ struct Stats {
     bytes_sent: AtomicU64,
     bytes_received: AtomicU64,
     writes: AtomicU64,
+    corrupt_frames: AtomicU64,
 }
 
 /// The sender-side queue for one peer.
 struct PeerQueue {
     /// Encoded frames awaiting the writer thread.
     buf: Vec<u8>,
-    /// Length of each queued frame, in order; the writer uses these to
-    /// split a drained batch into write units.
+    /// Length of each queued frame, in order (one entry per queued
+    /// parcel); the writer uses these to split a batch into write units.
     lens: Vec<usize>,
-    /// Parcels those bytes represent.
-    frames: usize,
-    /// When the oldest queued frame arrived (the coalescing clock).
-    first_at: Option<Instant>,
+    /// The writer is parked on `ready`; only then does a sender pay for
+    /// the wake-up, so a burst costs one notification, not one per frame.
+    writer_idle: bool,
     closed: bool,
 }
 
@@ -245,8 +244,7 @@ impl TcpParcelport {
             state: Mutex::new(PeerQueue {
                 buf: Vec::new(),
                 lens: Vec::new(),
-                frames: 0,
-                first_at: None,
+                writer_idle: false,
                 closed: false,
             }),
             ready: Condvar::new(),
@@ -283,6 +281,12 @@ impl TcpParcelport {
     /// Bytes read off the wire so far.
     pub fn bytes_received(&self) -> u64 {
         self.inner.stats.bytes_received.load(Ordering::Relaxed)
+    }
+
+    /// Inbound connections dropped because their byte stream failed to
+    /// decode as frames.
+    pub fn corrupt_frames(&self) -> u64 {
+        self.inner.stats.corrupt_frames.load(Ordering::Relaxed)
     }
 
     /// Sever the connection state for `peer` as if it died: close the
@@ -324,16 +328,15 @@ impl Parcelport for TcpParcelport {
         if q.closed {
             return Err(Error::PeerLost(peer.id));
         }
-        if q.first_at.is_none() {
-            q.first_at = Some(Instant::now());
-        }
         let before = q.buf.len();
         frame::encode(&parcel, &mut q.buf);
         let len = q.buf.len() - before;
         q.lens.push(len);
-        q.frames += 1;
+        let wake = std::mem::take(&mut q.writer_idle);
         drop(q);
-        peer.shared.ready.notify_one();
+        if wake {
+            peer.shared.ready.notify_one();
+        }
         self.inner.stats.parcels_sent.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -343,7 +346,7 @@ impl Parcelport for TcpParcelport {
             .peers
             .read()
             .values()
-            .map(|p| p.shared.state.lock().frames)
+            .map(|p| p.shared.state.lock().lens.len())
             .sum()
     }
 
@@ -424,17 +427,20 @@ fn accept_loop(
 fn reader_loop(mut stream: TcpStream, peer_id: u32, inner: Arc<Inner>) {
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 64 << 10];
-    loop {
+    'read: loop {
         let n = match stream.read(&mut chunk) {
             Ok(0) | Err(_) => break,
             Ok(n) => n,
         };
         inner.stats.bytes_received.fetch_add(n as u64, Ordering::Relaxed);
         buf.extend_from_slice(&chunk[..n]);
+        // Decode at a cursor and compact once per read, so a read of many
+        // small frames costs O(bytes), not O(frames × bytes).
+        let mut at = 0usize;
         loop {
-            match frame::decode(&buf) {
+            match frame::decode(&buf[at..]) {
                 Ok((parcel, used)) => {
-                    buf.drain(..used);
+                    at += used;
                     // Emit before counting: once `parcels_received` matches
                     // the sender's `parcels_sent`, every parcel is
                     // guaranteed to have reached the sink (the cluster's
@@ -443,74 +449,66 @@ fn reader_loop(mut stream: TcpStream, peer_id: u32, inner: Arc<Inner>) {
                     inner.stats.parcels_received.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(frame::DecodeError::Incomplete { .. }) => break,
-                Err(frame::DecodeError::Malformed(m)) => {
-                    eprintln!(
-                        "parallex: dropping corrupt connection from locality {peer_id}: {m}"
-                    );
+                Err(frame::DecodeError::Malformed(_)) => {
+                    inner.stats.corrupt_frames.fetch_add(1, Ordering::Relaxed);
                     let _ = stream.shutdown(Shutdown::Both);
-                    inner.close_peer_queue(peer_id);
-                    inner.mark_peer_lost();
-                    inner.emit(PortEvent::PeerLost(peer_id));
-                    return;
+                    break 'read;
                 }
             }
         }
+        buf.drain(..at);
     }
-    // EOF or I/O error: the peer is gone. Fail our sends toward it and
-    // tell the owner so pending responses resolve instead of hanging.
+    // EOF, I/O error or a corrupt stream: the peer is gone. Fail our sends
+    // toward it and tell the owner so pending responses resolve instead of
+    // hanging.
     inner.close_peer_queue(peer_id);
     inner.mark_peer_lost();
     inner.emit(PortEvent::PeerLost(peer_id));
+}
+
+/// Split queued frames of the given lengths into write units: whole
+/// frames packed greedily up to `max_bytes` per unit, always at least
+/// one frame per unit so an oversized frame still goes out on its own.
+fn write_units(lens: &[usize], max_bytes: usize) -> Vec<usize> {
+    let mut units = Vec::new();
+    let mut unit = 0usize;
+    for &len in lens {
+        if unit > 0 && unit + len > max_bytes {
+            units.push(unit);
+            unit = 0;
+        }
+        unit += len;
+    }
+    if unit > 0 {
+        units.push(unit);
+    }
+    units
 }
 
 fn writer_loop(mut stream: TcpStream, peer_id: u32, shared: Arc<PeerShared>, inner: Arc<Inner>) {
     loop {
         let (batch, lens) = {
             let mut q = shared.state.lock();
-            loop {
-                if q.buf.is_empty() {
-                    if q.closed {
-                        return;
-                    }
-                    shared.ready.wait_for(&mut q, Duration::from_millis(50));
-                    continue;
+            while q.buf.is_empty() {
+                if q.closed {
+                    return;
                 }
-                // Coalescing window: hold small frames until the size or
-                // time threshold trips (or the queue is closing).
-                let deadline = q.first_at.expect("non-empty queue has a first_at")
-                    + inner.cfg.coalesce_max_delay;
-                if q.closed
-                    || q.buf.len() >= inner.cfg.coalesce_max_bytes
-                    || Instant::now() >= deadline
-                {
-                    break;
-                }
-                shared.ready.wait_until(&mut q, deadline);
+                q.writer_idle = true;
+                shared.ready.wait(&mut q);
             }
+            // Self-clocked: take everything queued right now. Frames that
+            // arrive while the writes below are in flight form the next
+            // batch.
             let batch = std::mem::take(&mut q.buf);
-            let lens = std::mem::take(&mut q.lens);
-            q.frames = 0;
-            q.first_at = None;
-            shared.space.notify_all();
-            (batch, lens)
-        };
-        // Split the drained batch into write units: whole frames packed
-        // greedily up to `coalesce_max_bytes` per physical write (always
-        // at least one frame per unit, so oversized frames still go out).
-        let mut units: Vec<usize> = Vec::new();
-        let mut unit = 0usize;
-        for len in &lens {
-            if unit > 0 && unit + len > inner.cfg.coalesce_max_bytes {
-                units.push(unit);
-                unit = 0;
+            // Senders block only once the queue reaches capacity, and it
+            // only grows between drains, so a smaller batch had no waiters.
+            if batch.len() >= inner.cfg.queue_capacity_bytes {
+                shared.space.notify_all();
             }
-            unit += len;
-        }
-        if unit > 0 {
-            units.push(unit);
-        }
+            (batch, std::mem::take(&mut q.lens))
+        };
         let mut start = 0usize;
-        for unit_len in units {
+        for unit_len in write_units(&lens, inner.cfg.coalesce_max_bytes) {
             if stream.write_all(&batch[start..start + unit_len]).is_err() {
                 inner.close_peer_queue(peer_id);
                 inner.mark_peer_lost();
@@ -530,6 +528,7 @@ mod tests {
     use crate::agas::Gid;
     use bytes::Bytes;
     use std::sync::mpsc;
+    use std::time::Instant;
 
     fn parcel(dest: u32, payload: &[u8]) -> Parcel {
         Parcel {
@@ -588,44 +587,86 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_flushes_on_size_threshold() {
-        // Timer threshold far away: only the size threshold can flush.
-        let cfg = TcpConfig {
-            coalesce_max_bytes: 4 * (frame::HEADER_LEN + 8),
-            coalesce_max_delay: Duration::from_secs(10),
-            ..TcpConfig::default()
-        };
+    fn write_units_pack_greedily_and_pass_oversized_frames_alone() {
+        assert_eq!(write_units(&[], 100), Vec::<usize>::new());
+        // Greedy: fill a unit until the next frame would overflow it.
+        assert_eq!(write_units(&[40, 40, 40, 40, 40], 100), vec![80, 80, 40]);
+        assert_eq!(write_units(&[50, 50, 50], 100), vec![100, 50]);
+        // An oversized frame closes the open unit and goes out on its own.
+        assert_eq!(write_units(&[10, 250, 10], 100), vec![10, 250, 10]);
+        // One byte per unit is one frame per write.
+        assert_eq!(write_units(&[40, 40, 40], 1), vec![40, 40, 40]);
+    }
+
+    #[test]
+    fn lone_frame_leaves_in_one_write() {
+        // A size threshold no single halo reaches: the frame must still
+        // leave at once rather than wait for company.
+        let cfg = TcpConfig { coalesce_max_bytes: 1 << 20, ..TcpConfig::default() };
         let (a, b, rx) = pair(cfg);
-        for i in 0..16u8 {
-            a.send(parcel(1, &[i; 8])).unwrap();
-        }
-        recv_parcels(&rx, 16);
-        let writes = a.writes();
-        assert!(writes >= 1, "at least one flush");
-        assert!(writes < 16, "coalescing must batch frames, got {writes} writes for 16 parcels");
+        a.send(parcel(1, &[7; 64])).unwrap();
+        recv_parcels(&rx, 1);
+        assert_eq!(a.writes(), 1, "a lone parcel is exactly one write");
         a.shutdown();
         b.shutdown();
     }
 
     #[test]
-    fn coalescing_flushes_on_timer_threshold() {
-        // Size threshold unreachable: only the timer can flush.
-        let cfg = TcpConfig {
-            coalesce_max_bytes: 1 << 20,
-            coalesce_max_delay: Duration::from_millis(30),
-            ..TcpConfig::default()
-        };
-        let (a, b, rx) = pair(cfg);
-        let t0 = Instant::now();
-        for i in 0..3u8 {
-            a.send(parcel(1, &[i; 8])).unwrap();
+    fn burst_batches_behind_in_flight_writes() {
+        // The peer does not read until the burst is queued, so the first
+        // frame (larger than any socket buffering) keeps its write in
+        // flight while 1 000 small parcels are sent in a tight loop. A
+        // free-running receiver would make this a race between the sender
+        // and the syscall, which a slow (debug) build can lose.
+        let listener = TcpListener::bind(loopback()).unwrap();
+        let a = TcpParcelport::bind(0, loopback(), Arc::new(|_| {}), TcpConfig::default()).unwrap();
+        a.connect_peer(1, listener.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        a.send(parcel(1, &vec![0xEE; 8 << 20])).unwrap();
+        for i in 0..1000u32 {
+            a.send(parcel(1, &i.to_le_bytes().repeat(8))).unwrap();
         }
-        recv_parcels(&rx, 3);
-        assert!(
-            t0.elapsed() >= Duration::from_millis(25),
-            "frames should have been held for the coalescing window"
-        );
-        assert_eq!(a.writes(), 1, "one batch for all frames queued in the window");
+        let mut hello = [0u8; 4];
+        peer.read_exact(&mut hello).unwrap();
+        let (mut buf, mut at, mut got) = (Vec::new(), 0usize, Vec::new());
+        let mut chunk = vec![0u8; 64 << 10];
+        while got.len() < 1001 {
+            let n = peer.read(&mut chunk).unwrap();
+            assert!(n > 0, "stream ended after {} parcels", got.len());
+            buf.extend_from_slice(&chunk[..n]);
+            loop {
+                match frame::decode(&buf[at..]) {
+                    Ok((p, used)) => {
+                        at += used;
+                        got.push(p);
+                    }
+                    Err(frame::DecodeError::Incomplete { .. }) => break,
+                    Err(frame::DecodeError::Malformed(m)) => panic!("corrupt stream: {m}"),
+                }
+            }
+        }
+        assert_eq!(got[0].payload.len(), 8 << 20);
+        for (i, p) in got[1..].iter().enumerate() {
+            assert_eq!(p.payload[..4], (i as u32).to_le_bytes(), "in-order delivery");
+        }
+        let writes = a.writes();
+        assert!(writes <= 250, "a burst must coalesce, got {writes} writes for 1001 parcels");
+        a.shutdown();
+    }
+
+    #[test]
+    fn corrupt_stream_is_counted_and_drops_the_peer() {
+        let (a, b, rx) = pair(TcpConfig::default());
+        let mut raw = TcpStream::connect(b.local_addr()).unwrap();
+        raw.write_all(&5u32.to_le_bytes()).unwrap(); // valid hello
+        raw.write_all(&[0xAB; 64]).unwrap(); // not a frame
+        match rx.recv_timeout(Duration::from_secs(5)).expect("an event arrives") {
+            PortEvent::PeerLost(5) => {}
+            PortEvent::PeerLost(l) => panic!("wrong peer lost: {l}"),
+            PortEvent::Deliver(_) => panic!("garbage decoded as a parcel"),
+        }
+        assert_eq!(b.corrupt_frames(), 1);
+        assert!(b.any_peer_lost());
         a.shutdown();
         b.shutdown();
     }

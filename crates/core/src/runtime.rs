@@ -202,7 +202,9 @@ pub(crate) fn help_until(core: Option<&Arc<Core>>, mut done: impl FnMut() -> boo
 
 /// Builder for a [`Runtime`] (HPX's command-line/config equivalent).
 pub struct RuntimeBuilder {
-    workers: usize,
+    /// `None` until set: the machine's parallelism is probed (a handful
+    /// of syscalls and cgroup file reads) only if the caller never says.
+    workers: Option<usize>,
     policy: SchedulerPolicy,
     numa_domains: usize,
     thread_name: String,
@@ -213,7 +215,7 @@ pub struct RuntimeBuilder {
 impl Default for RuntimeBuilder {
     fn default() -> Self {
         RuntimeBuilder {
-            workers: std::thread::available_parallelism().map_or(2, |n| n.get()),
+            workers: None,
             policy: SchedulerPolicy::LocalPriority,
             numa_domains: 1,
             thread_name: "parallex-worker".to_string(),
@@ -227,7 +229,7 @@ impl RuntimeBuilder {
     /// Number of worker OS threads (HPX `--hpx:threads`).
     pub fn worker_threads(mut self, n: usize) -> Self {
         assert!(n > 0, "need at least one worker");
-        self.workers = n;
+        self.workers = Some(n);
         self
     }
 
@@ -268,19 +270,22 @@ impl RuntimeBuilder {
 
     /// Start the workers and return the runtime.
     pub fn build(self) -> Runtime {
-        let topology = Topology::uniform(self.workers, self.numa_domains.min(self.workers));
+        let workers = self
+            .workers
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(2, |n| n.get()));
+        let topology = Topology::uniform(workers, self.numa_domains.min(workers));
         // One lane per worker plus one for external (non-worker) threads.
-        let tracer = Arc::new(Tracer::with_capacity(self.workers + 1, self.trace_capacity));
+        let tracer = Arc::new(Tracer::with_capacity(workers + 1, self.trace_capacity));
         // Histogram lanes mirror the tracer's: one per worker plus one
         // external lane for non-worker threads.
-        let latency = Arc::new(LatencySet::new(self.workers + 1));
+        let latency = Arc::new(LatencySet::new(workers + 1));
         let core = Arc::new(Core {
-            sched: Scheduler::with_topology(self.workers, self.policy, &topology),
+            sched: Scheduler::with_topology(workers, self.policy, &topology),
             outstanding: AtomicUsize::new(0),
             idle_lock: Mutex::new(()),
             idle_cond: Condvar::new(),
             counters: Counters::default(),
-            worker_stats: (0..self.workers).map(|_| WorkerStat::default()).collect(),
+            worker_stats: (0..workers).map(|_| WorkerStat::default()).collect(),
             tracer: tracer.clone(),
             latency: latency.clone(),
             fault: RwLock::new(None),
@@ -290,7 +295,7 @@ impl RuntimeBuilder {
         core.sched.attach_latency(latency);
         let registry = Arc::new(CounterRegistry::new());
         crate::perf::register_runtime_counters(&registry, self.locality, &core);
-        let threads = (0..self.workers)
+        let threads = (0..workers)
             .map(|i| {
                 let core = core.clone();
                 std::thread::Builder::new()
@@ -305,7 +310,7 @@ impl RuntimeBuilder {
                 core,
                 topology,
                 threads: Mutex::new(threads),
-                timer: Mutex::new(None),
+                timer: crate::parcel::TimerWheel::new(),
                 registry,
                 locality: self.locality,
             }),
@@ -352,8 +357,8 @@ struct RuntimeInner {
     core: Arc<Core>,
     topology: Topology,
     threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Lazily started timer thread backing `spawn_after` / `sleep`.
-    timer: Mutex<Option<Arc<crate::parcel::TimerWheel>>>,
+    /// Timer backing `spawn_after` / `sleep` (its thread starts lazily).
+    timer: crate::parcel::TimerWheel,
     /// HPX-style counter registry, pre-populated with this runtime's
     /// counters at hierarchical paths.
     registry: Arc<CounterRegistry>,
@@ -554,18 +559,11 @@ impl Runtime {
         self.inner.shutdown();
     }
 
-    fn timer(&self) -> Arc<crate::parcel::TimerWheel> {
-        let mut guard = self.inner.timer.lock();
-        guard
-            .get_or_insert_with(|| Arc::new(crate::parcel::TimerWheel::new()))
-            .clone()
-    }
-
     /// Spawn `f` as a task after `delay` (HPX timed execution,
     /// `hpx::make_timed_task`-style).
     pub fn spawn_after(&self, delay: Duration, f: impl FnOnce() + Send + 'static) {
         let core = self.inner.core.clone();
-        self.timer().schedule(delay, move || {
+        self.inner.timer.schedule(delay, move || {
             core.spawn(Task::new(f));
         });
     }
@@ -575,7 +573,7 @@ impl Runtime {
     pub fn sleep(&self, delay: Duration) -> Future<()> {
         let mut p = self.make_promise();
         let f = p.future();
-        self.timer().schedule(delay, move || p.set_value(()));
+        self.inner.timer.schedule(delay, move || p.set_value(()));
         f
     }
 

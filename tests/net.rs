@@ -207,3 +207,25 @@ fn tcp_cluster_conserves_parcels_under_load() {
     assert!(writes > 0 && writes <= sent, "coalescing can only reduce writes");
     cluster.shutdown();
 }
+
+#[test]
+fn corrupt_stream_is_counted_on_the_cluster_registry() {
+    use parallex::introspect::counters::{CounterPath, Instance};
+    use std::io::Write;
+    let cluster = Cluster::new_tcp(2, 1);
+    let port = cluster.tcp_ports()[1].clone();
+    let mut raw = std::net::TcpStream::connect(port.local_addr()).expect("connect");
+    raw.write_all(&0u32.to_le_bytes()).expect("hello"); // a valid hello from locality 0
+    raw.write_all(&[0xAB; 64]).expect("garbage"); // then bytes that are no frame
+    let path = CounterPath::new("parcels", 1, Instance::Total, "count/dropped/corrupt-frame");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while cluster.counter_snapshot().get(&path) != Some(1) {
+        assert!(std::time::Instant::now() < deadline, "{path} never read 1");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    // The corrupt stream counts as a lost peer.
+    assert!(port.any_peer_lost());
+    let drops: u64 = cluster.tcp_ports().iter().map(|p| p.corrupt_frames()).sum();
+    assert_eq!(drops, 1, "only the corrupted stream is dropped");
+    cluster.shutdown();
+}
