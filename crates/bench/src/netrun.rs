@@ -4,33 +4,36 @@
 //!
 //! The parent binds a rendezvous listener, spawns one worker *process*
 //! per rank (re-invoking the `repro` binary with the hidden
-//! `heat1d-net-worker` argv), and plays address book: each worker binds
-//! its own [`TcpParcelport`], reports `HELLO <rank> <addr>`, and receives
-//! the full `PEERS` list back. Workers then connect to their stencil
-//! neighbours and run the block-partitioned 1D heat equation, every halo
-//! crossing a real loopback socket as a framed parcel. The parent
+//! `heat1d-net-worker` argv), and plays address book: each worker builds
+//! its parcelport stack with [`build_stack`] (the builder every
+//! [`Cluster`] locality uses), reports `HELLO <rank> <addr>`, and
+//! receives the full `PEERS` list back. Workers then connect to their
+//! stencil neighbours and run the block-partitioned 1D heat equation,
+//! every halo crossing a real loopback socket as a framed parcel. The parent
 //! reassembles the field, checks it against the in-process [`Cluster`]
 //! solver on the same parameters, and appends a loopback coalescing
 //! benchmark (same parcel stream with coalescing on vs off) for
 //! `BENCH_net.json`.
 //!
-//! In chaos mode each worker stacks the resilience chain on the raw
-//! transport — TCP at the bottom, a seeded [`FaultyParcelport`] in the
-//! middle, [`ReliableParcelport`] on top — and wraps each step's compute
-//! in [`replay_sync`] with [`FaultPlan::panic_steps`]-scheduled task
-//! panics. Despite injected drops, duplicates, delays, bit-corruption
-//! and panics, the reassembled field must be **bitwise identical** to
-//! the fault-free in-process solve; `BENCH_resilience.json` additionally
+//! In chaos mode each worker builds the [`Stack::Chaos`] stack — TCP at
+//! the bottom, the seeded fault injector in the middle, reliable delivery
+//! on top — and wraps each step's compute in [`replay_sync`] with
+//! [`FaultPlan::panic_steps`]-scheduled task panics. Despite injected
+//! drops, duplicates, delays, bit-corruption and panics, the reassembled
+//! field must be **bitwise identical** to the fault-free in-process solve; `BENCH_resilience.json` additionally
 //! records the fault-free overhead of the reliable layer on the
 //! coalescing benchmark.
+//!
+//! Each worker reports its field and a snapshot of the counters its
+//! stack registered, one `path value` line per counter.
 
 use parallex::agas::Gid;
+use parallex::introspect::{CounterPath, CounterRegistry, CounterSnapshot, Instance};
 use parallex::locality::Cluster;
+use parallex::parcel::stack::{build_stack, Stack};
 use parallex::parcel::tcp::{TcpConfig, TcpParcelport};
 use parallex::parcel::{serialize, Parcel, Parcelport, PortEvent, PortSink};
-use parallex::resilience::{
-    replay_sync, ChaosSpec, FaultPlan, FaultyParcelport, ReliableConfig, ReliableParcelport,
-};
+use parallex::resilience::{replay_sync, ChaosSpec, FaultPlan};
 use parallex_stencil::heat1d::{install, Heat1dParams, Heat1dSolver, Side, HALO_PUSH};
 use parallex_stencil::verify::max_abs_diff;
 use std::collections::{BTreeSet, HashMap};
@@ -71,37 +74,13 @@ pub struct NetRunReport {
 // worker side
 // ---------------------------------------------------------------------------
 
-/// Per-rank wire and fault statistics a worker reports in its `RESULT`
-/// header (all zero on the raw transport).
-#[derive(Clone, Copy, Default)]
-struct WorkerStats {
-    parcels: u64,
-    writes: u64,
-    bytes: u64,
-    retransmits: u64,
-    dup_drops: u64,
-    corrupt_drops: u64,
-    inj_drops: u64,
-    inj_dups: u64,
-    inj_delays: u64,
-    inj_corrupts: u64,
-    task_panics: u64,
-}
-
-impl WorkerStats {
-    fn add(&mut self, o: &WorkerStats) {
-        self.parcels += o.parcels;
-        self.writes += o.writes;
-        self.bytes += o.bytes;
-        self.retransmits += o.retransmits;
-        self.dup_drops += o.dup_drops;
-        self.corrupt_drops += o.corrupt_drops;
-        self.inj_drops += o.inj_drops;
-        self.inj_dups += o.inj_dups;
-        self.inj_delays += o.inj_delays;
-        self.inj_corrupts += o.inj_corrupts;
-        self.task_panics += o.task_panics;
-    }
+/// Sum of the locality-total counter `/{object}{locality#*/total}/{name}`
+/// over every rank in `snap`.
+fn total(snap: &CounterSnapshot, object: &str, name: &str) -> u64 {
+    snap.iter()
+        .filter(|(p, _)| p.object == object && p.instance == Instance::Total && p.name == name)
+        .map(|(_, v)| v)
+        .sum()
 }
 
 /// Entry point of a worker process (hidden `heat1d-net-worker` argv of
@@ -135,33 +114,10 @@ pub fn run_worker(args: &[String]) {
         let _ = tx.send(ev);
     });
 
-    // Transport: raw TCP, or — in chaos mode — the resilience chain
-    // TCP → FaultyParcelport → ReliableParcelport (the same stack
-    // `Cluster::attach_tcp_resilient` wires in-process).
-    let loopback: SocketAddr = "127.0.0.1:0".parse().expect("loopback");
-    type WorkerPorts = (
-        Arc<dyn Parcelport>,
-        Arc<TcpParcelport>,
-        Option<Arc<ReliableParcelport>>,
-        Option<Arc<FaultyParcelport>>,
-    );
-    let (send_port, tcp, rel, faulty): WorkerPorts = match &chaos {
-        None => {
-            let tcp = TcpParcelport::bind(rank, loopback, sink, TcpConfig::default())
-                .expect("bind worker parcelport");
-            (tcp.clone(), tcp, None, None)
-        }
-        Some(spec) => {
-            let rel = ReliableParcelport::new(rank, ReliableConfig::default(), sink);
-            let tcp =
-                TcpParcelport::bind(rank, loopback, rel.inbound_sink(), TcpConfig::default())
-                    .expect("bind worker parcelport");
-            let plan = Arc::new(FaultPlan::for_stream(spec.clone(), rank as u64));
-            let faulty = FaultyParcelport::new(tcp.clone(), plan, Some(rel.inbound_sink()));
-            rel.attach_inner(faulty.clone());
-            (rel.clone(), tcp, Some(rel), Some(faulty))
-        }
-    };
+    let stack = chaos.clone().map_or(Stack::Tcp, Stack::Chaos);
+    let (port, tcp) = build_stack(rank, &stack, sink).expect("build worker parcelport stack");
+    let registry = CounterRegistry::new();
+    port.clone().register_counters(&registry, rank);
     // Injected task panics: deterministic step indices from the seed.
     let panic_steps: BTreeSet<u64> = chaos
         .as_ref()
@@ -185,56 +141,33 @@ pub fn run_worker(args: &[String]) {
     if rank + 1 < ranks {
         tcp.connect_peer(rank + 1, addrs[rank as usize + 1]).expect("connect right");
     }
+    drop(tcp);
 
     let range = parallex::topology::block_ranges(points, ranks as usize)[rank as usize].clone();
     let t0 = Instant::now();
     let (field, task_panics) =
-        step_partition(&*send_port, &rx, rank, ranks, range, steps, r, &panic_steps);
+        step_partition(&*port, &rx, rank, ranks, range, steps, r, &panic_steps);
     let elapsed_us = t0.elapsed().as_micros() as u64;
+    registry.register(
+        CounterPath::new("chaos", rank, Instance::Total, "count/injected-panics"),
+        move || task_panics,
+    );
 
-    // Under chaos, the final halos shipped to the neighbours may still be
-    // unacknowledged (or dropped, awaiting retransmit). Drain before
-    // reporting: a neighbour that has not yet received them is still
-    // stepping and therefore still alive to ack them.
-    if let Some(rel) = &rel {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while rel.unacked() > 0 || send_port.pending() > 0 {
-            assert!(Instant::now() < deadline, "rank {rank}: unacked halos failed to drain");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    let stats = WorkerStats {
-        parcels: tcp.parcels_sent(),
-        writes: tcp.writes(),
-        bytes: tcp.bytes_sent(),
-        retransmits: rel.as_ref().map_or(0, |p| p.retransmits()),
-        dup_drops: rel.as_ref().map_or(0, |p| p.dup_drops()),
-        corrupt_drops: rel.as_ref().map_or(0, |p| p.corrupt_drops()),
-        inj_drops: faulty.as_ref().map_or(0, |p| p.injected_drops()),
-        inj_dups: faulty.as_ref().map_or(0, |p| p.injected_dups()),
-        inj_delays: faulty.as_ref().map_or(0, |p| p.injected_delays()),
-        inj_corrupts: faulty.as_ref().map_or(0, |p| p.injected_corrupts()),
-        task_panics,
-    };
-    // RESULT header, then the block as raw little-endian f64s.
+    // RESULT header, the counter lines, then the block as raw
+    // little-endian f64s. Halos still unacknowledged here need no drain:
+    // a neighbour missing one is still stepping, so it has not reported,
+    // and no rank shuts its stack down before every rank has.
+    let counters = registry.snapshot();
     writeln!(
         ctrl,
-        "RESULT {rank} {} {elapsed_us} {} {} {} {} {} {} {} {} {} {} {}",
+        "RESULT {rank} {} {elapsed_us} {}",
         field.len(),
-        stats.parcels,
-        stats.writes,
-        stats.bytes,
-        stats.retransmits,
-        stats.dup_drops,
-        stats.corrupt_drops,
-        stats.inj_drops,
-        stats.inj_dups,
-        stats.inj_delays,
-        stats.inj_corrupts,
-        stats.task_panics,
+        counters.len()
     )
     .expect("send result header");
+    for (path, value) in counters.iter() {
+        writeln!(ctrl, "{path} {value}").expect("send counter");
+    }
     let mut raw = Vec::with_capacity(field.len() * 8);
     for v in &field {
         raw.extend_from_slice(&v.to_le_bytes());
@@ -243,11 +176,11 @@ pub fn run_worker(args: &[String]) {
     ctrl.flush().expect("flush result");
 
     // Hold the transport open until every rank has reported: a peer may
-    // still need our acks (or retransmits) for its own drain.
+    // still need our acks or retransmits to finish its steps.
     line.clear();
     lines.read_line(&mut line).expect("read shutdown barrier");
     assert_eq!(line.trim(), "BYE", "unexpected shutdown barrier: {line:?}");
-    send_port.shutdown();
+    port.shutdown();
 }
 
 /// The worker's serial time-stepping loop: identical arithmetic, in
@@ -362,11 +295,11 @@ fn recv_halo(
 // parent side
 // ---------------------------------------------------------------------------
 
-/// One completed distributed run: the reassembled field, cluster-wide
-/// wire/fault totals, and the slowest rank's step-loop time.
+/// One completed distributed run: the reassembled field, every rank's
+/// counters, and the slowest rank's step-loop time.
 struct DistRun {
     field: Vec<f64>,
-    totals: WorkerStats,
+    counters: CounterSnapshot,
     makespan_us: u64,
 }
 
@@ -418,7 +351,7 @@ fn run_distributed(chaos_arg: &str) -> DistRun {
 
     // Gather per-rank results.
     let mut field = Vec::with_capacity(POINTS);
-    let mut totals = WorkerStats::default();
+    let mut snapshots = Vec::with_capacity(RANKS as usize);
     let mut makespan_us = 0u64;
     for (rank, conn) in conns.iter_mut().enumerate() {
         let (rd, _) = conn.as_mut().expect("every rank connected");
@@ -428,22 +361,21 @@ fn run_distributed(chaos_arg: &str) -> DistRun {
         assert_eq!(toks.next(), Some("RESULT"), "unexpected worker result: {line:?}");
         let got_rank: usize = toks.next().expect("rank").parse().expect("rank");
         assert_eq!(got_rank, rank);
-        let len: usize = toks.next().expect("len").parse().expect("len");
-        let mut stat = || -> u64 { toks.next().expect("stat").parse().expect("stat") };
-        makespan_us = makespan_us.max(stat());
-        totals.add(&WorkerStats {
-            parcels: stat(),
-            writes: stat(),
-            bytes: stat(),
-            retransmits: stat(),
-            dup_drops: stat(),
-            corrupt_drops: stat(),
-            inj_drops: stat(),
-            inj_dups: stat(),
-            inj_delays: stat(),
-            inj_corrupts: stat(),
-            task_panics: stat(),
-        });
+        let mut num = || -> u64 { toks.next().expect("result field").parse().expect("number") };
+        let (len, elapsed_us, n_counters) = (num() as usize, num(), num());
+        makespan_us = makespan_us.max(elapsed_us);
+        let counters = (0..n_counters)
+            .map(|_| {
+                line.clear();
+                rd.read_line(&mut line).expect("read counter");
+                let (path, value) = line.trim_end().rsplit_once(' ').expect("path value");
+                (
+                    CounterPath::parse(path).expect("counter path"),
+                    value.parse().expect("value"),
+                )
+            })
+            .collect();
+        snapshots.push(CounterSnapshot::from_entries(0.0, counters));
         let mut raw = vec![0u8; len * 8];
         rd.read_exact(&mut raw).expect("read result payload");
         for chunk in raw.chunks_exact(8) {
@@ -460,7 +392,11 @@ fn run_distributed(chaos_arg: &str) -> DistRun {
         assert!(status.success(), "worker rank {rank} exited with {status}");
     }
     assert_eq!(field.len(), POINTS, "reassembled field covers the domain");
-    DistRun { field, totals, makespan_us }
+    DistRun {
+        field,
+        counters: CounterSnapshot::merge(snapshots),
+        makespan_us,
+    }
 }
 
 /// Run the multi-process experiment: spawn the workers, reassemble the
@@ -484,7 +420,31 @@ pub fn heat1d_net(chaos: Option<&str>) -> NetRunReport {
         }
     });
     let chaos_arg = chaos_spec.as_ref().map_or_else(|| "-".to_string(), ChaosSpec::render);
-    let DistRun { field, totals, makespan_us } = run_distributed(&chaos_arg);
+    let DistRun {
+        field,
+        counters,
+        makespan_us,
+    } = run_distributed(&chaos_arg);
+    let wire = |name| total(&counters, "parcels", name);
+    let (parcels, writes, bytes) = (
+        wire("count/wire-sent"),
+        wire("count/writes"),
+        wire("bytes/sent"),
+    );
+    let chaos = |name| total(&counters, "chaos", name);
+    let (inj_drops, inj_dups, inj_delays, inj_corrupts, task_panics) = (
+        chaos("count/injected-drops"),
+        chaos("count/injected-dups"),
+        chaos("count/injected-delays"),
+        chaos("count/injected-corrupts"),
+        chaos("count/injected-panics"),
+    );
+    let recovery = |name| total(&counters, "resilience", name);
+    let (retransmits, dup_drops, corrupt_drops) = (
+        recovery("count/retransmits"),
+        recovery("count/dup-drops"),
+        recovery("count/corrupt-drops"),
+    );
 
     // In-process reference: the same solve on a shared-memory Cluster.
     let cluster = Cluster::new(RANKS as usize, 2);
@@ -510,8 +470,7 @@ pub fn heat1d_net(chaos: Option<&str>) -> NetRunReport {
         "== heat1d-net: {RANKS} OS processes over TCP loopback ==\n\
          domain {POINTS} points, {STEPS} steps, r = {R}\n\
          max abs diff vs in-process Cluster: {diff:e}\n\
-         wire: {} parcels in {} writes ({} bytes)\n",
-        totals.parcels, totals.writes, totals.bytes,
+         wire: {parcels} parcels in {writes} writes ({bytes} bytes)\n",
     );
     let mut resilience_json = None;
     if let Some(spec) = &chaos_spec {
@@ -531,45 +490,32 @@ pub fn heat1d_net(chaos: Option<&str>) -> NetRunReport {
         let overhead_pct = 100.0 * (quiet_us as f64 - raw_us as f64) / (raw_us as f64).max(1.0);
         // Supplementary: the worst case for the layer — tiny parcels at
         // maximum rate through the coalescing stream.
-        let reliable_stream = reliable_coalescing_run(TcpConfig::default());
+        let reliable_stream = reliable_coalescing_run();
         summary.push_str(&format!(
             "\n== chaos: {} ==\n\
-             injected: {} drops, {} dups, {} delays, {} corrupts, {} task panics\n\
-             recovered: {} retransmits, {} duplicate drops, {} corrupt drops\n\
+             injected: {inj_drops} drops, {inj_dups} dups, {inj_delays} delays, \
+             {inj_corrupts} corrupts, {task_panics} task panics\n\
+             recovered: {retransmits} retransmits, {dup_drops} duplicate drops, \
+             {corrupt_drops} corrupt drops\n\
              field bitwise identical to fault-free reference: {bitwise}\n\
              chaos solve makespan: {makespan_us} us\n\
              reliable layer fault-free overhead: {overhead_pct:.1}% \
              (solve makespan {quiet_us} us resilient vs {raw_us} us raw, best of 3)\n",
             spec.render(),
-            totals.inj_drops,
-            totals.inj_dups,
-            totals.inj_delays,
-            totals.inj_corrupts,
-            totals.task_panics,
-            totals.retransmits,
-            totals.dup_drops,
-            totals.corrupt_drops,
         ));
         resilience_json = Some(format!(
             "{{\n  \"experiment\": \"heat1d-net-chaos\",\n  \
              \"chaos\": \"{}\",\n  \"ranks\": {RANKS},\n  \"points\": {POINTS},\n  \
              \"steps\": {STEPS},\n  \"bitwise_identical\": {bitwise},\n  \
-             \"faults_injected\": {{ \"drops\": {}, \"dups\": {}, \"delays\": {}, \
-             \"corrupts\": {}, \"task_panics\": {} }},\n  \
-             \"recovery\": {{ \"retransmits\": {}, \"dup_drops\": {}, \"corrupt_drops\": {} }},\n  \
+             \"faults_injected\": {{ \"drops\": {inj_drops}, \"dups\": {inj_dups}, \
+             \"delays\": {inj_delays}, \"corrupts\": {inj_corrupts}, \"task_panics\": {task_panics} }},\n  \
+             \"recovery\": {{ \"retransmits\": {retransmits}, \"dup_drops\": {dup_drops}, \
+             \"corrupt_drops\": {corrupt_drops} }},\n  \
              \"solve_makespan_us\": {{ \"chaos\": {makespan_us}, \"resilient_fault_free\": {quiet_us}, \
              \"raw\": {raw_us} }},\n  \
              \"fault_free_overhead_pct\": {overhead_pct:.2},\n  \
              \"reliable_coalescing_stream\": {{\n    \"raw\": {},\n    \"reliable\": {}\n  }}\n}}\n",
             spec.render(),
-            totals.inj_drops,
-            totals.inj_dups,
-            totals.inj_delays,
-            totals.inj_corrupts,
-            totals.task_panics,
-            totals.retransmits,
-            totals.dup_drops,
-            totals.corrupt_drops,
             coalesced.json(),
             reliable_stream.json(),
         ));
@@ -591,12 +537,9 @@ pub fn heat1d_net(chaos: Option<&str>) -> NetRunReport {
     let bench_json = format!(
         "{{\n  \"experiment\": \"heat1d-net\",\n  \"ranks\": {RANKS},\n  \"points\": {POINTS},\n  \
          \"steps\": {STEPS},\n  \"max_abs_diff\": {diff:e},\n  \
-         \"wire\": {{ \"parcels\": {}, \"writes\": {}, \"bytes\": {} }},\n  \
+         \"wire\": {{ \"parcels\": {parcels}, \"writes\": {writes}, \"bytes\": {bytes} }},\n  \
          \"coalescing\": {{\n    \"parcels\": {COALESCE_PARCELS},\n    \"payload_bytes\": {COALESCE_PAYLOAD},\n    \
          \"coalesced\": {},\n    \"uncoalesced\": {}\n  }}\n}}\n",
-        totals.parcels,
-        totals.writes,
-        totals.bytes,
         coalesced.json(),
         uncoalesced.json(),
     );
@@ -686,9 +629,9 @@ fn coalescing_run(cfg: TcpConfig) -> CoalesceStats {
     stats
 }
 
-/// The same stream through the reliable layer (no chaos): what sequence
+/// The same stream through the reliable stack (no chaos): what sequence
 /// numbers, acks and the retransmit timer cost when nothing goes wrong.
-fn reliable_coalescing_run(cfg: TcpConfig) -> CoalesceStats {
+fn reliable_coalescing_run() -> CoalesceStats {
     let received = Arc::new(AtomicU64::new(0));
     let received2 = received.clone();
     let sink_b: PortSink = Arc::new(move |ev| {
@@ -696,28 +639,28 @@ fn reliable_coalescing_run(cfg: TcpConfig) -> CoalesceStats {
             received2.fetch_add(1, Ordering::Relaxed);
         }
     });
-    let sink_a: PortSink = Arc::new(|_| {});
-    let rel_a = ReliableParcelport::new(0, ReliableConfig::default(), sink_a);
-    let rel_b = ReliableParcelport::new(1, ReliableConfig::default(), sink_b);
-    let loopback: SocketAddr = "127.0.0.1:0".parse().expect("loopback");
-    let a = TcpParcelport::bind(0, loopback, rel_a.inbound_sink(), cfg.clone())
-        .expect("bind sender port");
-    let b =
-        TcpParcelport::bind(1, loopback, rel_b.inbound_sink(), cfg).expect("bind receiver port");
-    a.connect_peer(1, b.local_addr()).expect("connect data path");
-    b.connect_peer(0, a.local_addr()).expect("connect ack path");
-    rel_a.attach_inner(a.clone());
-    rel_b.attach_inner(b.clone());
+    let (a, tcp_a) = build_stack(0, &Stack::Reliable, Arc::new(|_| {})).expect("sender stack");
+    let (b, tcp_b) = build_stack(1, &Stack::Reliable, sink_b).expect("receiver stack");
+    tcp_a
+        .connect_peer(1, tcp_b.local_addr())
+        .expect("connect data path");
+    tcp_b
+        .connect_peer(0, tcp_a.local_addr())
+        .expect("connect ack path");
 
     let payload = bytes::Bytes::from(vec![0x5a_u8; COALESCE_PAYLOAD]);
     let t0 = Instant::now();
     for _ in 0..COALESCE_PARCELS {
-        rel_a.send(bench_parcel(&payload)).expect("bench send");
+        a.send(bench_parcel(&payload)).expect("bench send");
     }
     await_count(&received, COALESCE_PARCELS);
     let elapsed = t0.elapsed();
-    let stats = CoalesceStats { writes: a.writes(), bytes: a.bytes_sent(), elapsed };
-    rel_a.shutdown();
-    rel_b.shutdown();
+    let stats = CoalesceStats {
+        writes: tcp_a.writes(),
+        bytes: tcp_a.bytes_sent(),
+        elapsed,
+    };
+    a.shutdown();
+    b.shutdown();
     stats
 }

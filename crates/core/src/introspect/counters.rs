@@ -14,7 +14,7 @@
 //! `hpx --hpx:print-counter-interval`.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -126,6 +126,10 @@ impl fmt::Display for CounterPath {
 /// Probe closure evaluated at snapshot time.
 type Probe = Box<dyn Fn() -> u64 + Send + Sync>;
 
+/// A counter name and the `AtomicU64` of a `T` it reads; see
+/// [`CounterRegistry::register_fields`].
+pub(crate) type AtomicField<T> = (&'static str, fn(&T) -> &AtomicU64);
+
 /// A set of named counters that can be snapshotted atomically enough
 /// for rate computation (each probe is an atomic load; the set is read
 /// in one pass without blocking writers).
@@ -161,6 +165,25 @@ impl CounterRegistry {
             "duplicate counter registration: {path}"
         );
         counters.push((path, Box::new(probe)));
+    }
+
+    /// Register one locality-total counter
+    /// `/{object}{locality#L/total}/{name}` per `(name, field)`, each
+    /// probing `field(owner)` with a relaxed load.
+    pub(crate) fn register_fields<T: Send + Sync + 'static>(
+        &self,
+        object: &str,
+        locality: u32,
+        owner: &Arc<T>,
+        fields: &[AtomicField<T>],
+    ) {
+        for &(name, field) in fields {
+            let owner = owner.clone();
+            self.register(
+                CounterPath::new(object, locality, Instance::Total, name),
+                move || field(&owner).load(Ordering::Relaxed),
+            );
+        }
     }
 
     /// Number of registered counters.

@@ -56,7 +56,6 @@ pub mod runtime;
 pub mod sched;
 pub mod task;
 pub mod topology;
-pub mod trace;
 pub mod util;
 
 /// The most common imports, HPX-style.

@@ -14,14 +14,12 @@ use crate::introspect::{
     MetricsServer, Trace,
 };
 use crate::lcos::future::{Future, Promise};
+use crate::parcel::stack::{build_stack, Stack};
 use crate::parcel::{
-    serialize, tcp, ActionFn, ActionId, ActionRegistry, DelayFn, InProcessParcelport, Parcel,
-    Parcelport, PortEvent, PortSink, TimerToken, TimerWheel, RESPONSE_ACTION,
+    in_flight, serialize, ActionFn, ActionId, ActionRegistry, DelayFn, Parcel, Parcelport,
+    PortEvent, PortSink, TimerToken, TimerWheel, RESPONSE_ACTION,
 };
-use crate::resilience::{
-    ChaosSpec, FaultPlan, FaultyParcelport, HeartbeatConfig, PeerHealth, PeerState,
-    ReliableConfig, ReliableParcelport, HEARTBEAT_ACTION,
-};
+use crate::resilience::{ChaosSpec, HeartbeatConfig, PeerHealth, PeerState, HEARTBEAT_ACTION};
 use crate::runtime::Runtime;
 use crate::sched::SchedulerPolicy;
 use crate::task::{Priority, Task};
@@ -30,8 +28,9 @@ use parking_lot::{Mutex, RwLock};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::HashMap;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
 /// An outstanding request: its promise, send time (completing the
@@ -58,6 +57,18 @@ pub struct Locality {
     /// Peer liveness as observed from this locality, fed by heartbeat
     /// arrivals once [`Cluster::start_heartbeat`] is running.
     health: PeerHealth,
+    /// The top of this locality's parcelport stack. Unset when the
+    /// cluster keeps its parcels in the process: they go straight to the
+    /// destination's delivery path.
+    port: OnceLock<Arc<dyn Parcelport>>,
+    /// The address the stack listens on, for peers to connect to.
+    endpoint: OnceLock<SocketAddr>,
+    /// `count/dropped/send-failed`: parcels the transport refused with
+    /// no caller waiting to be told.
+    dropped_send_failed: Arc<AtomicU64>,
+    /// `count/dropped/unknown-locality`: parcels addressed to a locality
+    /// the cluster does not have.
+    dropped_unknown_locality: Arc<AtomicU64>,
 }
 
 /// Record a parcel event on the calling thread's lane of `rt`'s tracer
@@ -90,6 +101,12 @@ impl Locality {
     /// heartbeat protocol; empty until [`Cluster::start_heartbeat`]).
     pub fn health(&self) -> &PeerHealth {
         &self.health
+    }
+
+    /// The address this locality's parcelport listens on (`None` when
+    /// the cluster exchanges parcels in-process).
+    pub fn endpoint(&self) -> Option<SocketAddr> {
+        self.endpoint.get().copied()
     }
 
     fn shared(&self) -> Result<Arc<ClusterShared>> {
@@ -252,9 +269,6 @@ pub(crate) struct ClusterShared {
     migration: MigrationRegistry,
     timer: TimerWheel,
     delay: RwLock<Option<DelayFn>>,
-    /// The parcelport per locality (in-process handoff by default,
-    /// TCP after [`Cluster::attach_tcp`]).
-    transport: RwLock<Transport>,
     /// If set, remote calls fail with [`Error::ResponseTimeout`] when no
     /// response arrives in time.
     response_timeout: RwLock<Option<Duration>>,
@@ -263,95 +277,19 @@ pub(crate) struct ClusterShared {
     system_gids: Vec<Gid>,
 }
 
-/// Which [`Parcelport`] implementation carries inter-locality parcels.
-enum Transport {
-    /// Shared-memory handoff inside one process.
-    InProcess(Vec<Arc<InProcessParcelport>>),
-    /// Real sockets with framing and coalescing.
-    Tcp(Vec<Arc<tcp::TcpParcelport>>),
-    /// TCP wrapped in the resilience stack: sends enter the reliable
-    /// layer (seq/ack/retransmit/dedup), pass the optional chaos
-    /// decorator, and exit on the socket; inbound frames climb back up
-    /// the same chain.
-    Resilient {
-        rel: Vec<Arc<ReliableParcelport>>,
-        /// Present only when chaos injection was requested.
-        faulty: Vec<Arc<FaultyParcelport>>,
-        tcp: Vec<Arc<tcp::TcpParcelport>>,
-    },
-}
-
-impl Transport {
-    fn port(&self, i: usize) -> Option<Arc<dyn Parcelport>> {
-        match self {
-            Transport::InProcess(v) => v.get(i).cloned().map(|p| p as Arc<dyn Parcelport>),
-            Transport::Tcp(v) => v.get(i).cloned().map(|p| p as Arc<dyn Parcelport>),
-            Transport::Resilient { rel, .. } => {
-                rel.get(i).cloned().map(|p| p as Arc<dyn Parcelport>)
-            }
-        }
-    }
-
-    fn pending(&self) -> usize {
-        match self {
-            Transport::InProcess(v) => v.iter().map(|p| p.pending()).sum(),
-            Transport::Tcp(v) => v.iter().map(|p| p.pending()).sum(),
-            // The reliable port's `pending` delegates down the chain, so
-            // it already covers chaos-delayed parcels and socket queues.
-            Transport::Resilient { rel, .. } => rel.iter().map(|p| p.pending()).sum(),
-        }
-    }
-
-    fn shutdown_ports(&self) {
-        match self {
-            Transport::InProcess(v) => v.iter().for_each(|p| p.shutdown()),
-            Transport::Tcp(v) => v.iter().for_each(|p| p.shutdown()),
-            // Shutting the reliable layer joins its retransmit thread
-            // and cascades down through faulty → tcp.
-            Transport::Resilient { rel, .. } => rel.iter().for_each(|p| p.shutdown()),
-        }
-    }
-
-    /// Parcels written to the wire but not yet decoded by a receiver.
-    /// The in-process port hands parcels over synchronously, so only TCP
-    /// can have bytes genuinely in flight. After a peer loss the
-    /// sent/received ledger can never balance (frames toward the dead
-    /// peer are gone), so the check is disabled rather than spun on.
-    fn in_flight(&self) -> u64 {
-        match self {
-            Transport::InProcess(_) => 0,
-            Transport::Tcp(v) => {
-                if v.iter().any(|p| p.any_peer_lost()) {
-                    return 0;
-                }
-                let sent: u64 = v.iter().map(|p| p.parcels_sent()).sum();
-                let received: u64 = v.iter().map(|p| p.parcels_received()).sum();
-                sent.saturating_sub(received)
-            }
-            // Under chaos the wire-level ledger never balances (drops,
-            // dups, retransmits), so idle detection uses the reliable
-            // layer's *logical* ledger: unique data parcels accepted
-            // from senders vs unique parcels handed to receivers after
-            // dedup. Delivered is read before sent so a concurrent
-            // delivery can only make the result conservatively high,
-            // never a false zero.
-            Transport::Resilient { rel, tcp, .. } => {
-                if rel.iter().any(|p| p.any_peer_lost()) || tcp.iter().any(|p| p.any_peer_lost()) {
-                    return 0;
-                }
-                let delivered: u64 = rel.iter().map(|p| p.data_delivered()).sum();
-                let sent: u64 = rel.iter().map(|p| p.data_sent()).sum();
-                sent.saturating_sub(delivered)
-            }
-        }
-    }
-}
-
 /// Marker component representing "the locality itself" — the target of
 /// collective actions like [`Cluster::broadcast`].
 pub struct SystemComponent;
 
 impl ClusterShared {
+    /// Every locality's parcelport (none in an in-process cluster).
+    fn ports(&self) -> Vec<Arc<dyn Parcelport>> {
+        self.localities
+            .iter()
+            .filter_map(|l| l.port.get().cloned())
+            .collect()
+    }
+
     fn send(self: &Arc<Self>, parcel: Parcel) {
         let delay = self.delay.read().as_ref().map(|d| d(&parcel));
         match delay {
@@ -368,41 +306,39 @@ impl ClusterShared {
     }
 
     /// Hand the parcel to the source locality's parcelport (self-sends
-    /// skip the transport — no loopback socket hop even under TCP). A
-    /// synchronous transport failure fails the caller's pending request
-    /// with the typed error instead of letting it hang.
+    /// and port-less clusters skip the transport — no loopback socket
+    /// hop even under TCP). A synchronous transport failure fails the
+    /// caller's pending request with the typed error instead of letting
+    /// it hang.
     fn transmit(self: &Arc<Self>, parcel: Parcel) {
-        let port = if parcel.source == parcel.dest_locality {
-            None
-        } else {
-            self.transport.read().port(parcel.source as usize)
+        let src = &self.localities[parcel.source as usize];
+        let port = match src.port.get() {
+            Some(port) if parcel.source != parcel.dest_locality => port,
+            _ => return ClusterShared::deliver(self, parcel, src),
         };
-        let Some(port) = port else {
-            ClusterShared::deliver(self, parcel);
-            return;
-        };
-        let source = parcel.source;
-        let action = parcel.action;
-        let token = parcel.response_token;
+        let (action, token) = (parcel.action, parcel.response_token);
         if let Err(e) = port.send(parcel) {
-            match (action, token) {
-                // A request with a response token: fail it so the caller
-                // gets the typed error immediately.
-                (a, Some(tok)) if a != RESPONSE_ACTION => {
-                    if let Some(loc) = self.localities.get(source as usize) {
-                        loc.fail_token(tok, e);
-                    }
+            match token {
+                // A request: fail it so the caller gets the typed error
+                // immediately.
+                Some(tok) if action != RESPONSE_ACTION => src.fail_token(tok, e),
+                // Fire-and-forget or an undeliverable response (the
+                // requester's own peer-loss handling covers the latter):
+                // nobody to tell, so count the drop.
+                _ => {
+                    src.dropped_send_failed.fetch_add(1, Ordering::Relaxed);
                 }
-                // Fire-and-forget or an undeliverable response: the
-                // requester's own peer-loss handling covers the latter.
-                _ => eprintln!("parallex: dropping parcel (action {action}): {e}"),
             }
         }
     }
 
-    fn deliver(self: &Arc<Self>, parcel: Parcel) {
+    /// Spawn the parcel's handler on its destination locality; `observer`
+    /// is the locality that holds the parcel and counts it if dropped.
+    fn deliver(self: &Arc<Self>, parcel: Parcel, observer: &Locality) {
         let Some(dest) = self.localities.get(parcel.dest_locality as usize).cloned() else {
-            eprintln!("parallex: dropping parcel to unknown locality {}", parcel.dest_locality);
+            observer
+                .dropped_unknown_locality
+                .fetch_add(1, Ordering::Relaxed);
             return;
         };
         let shared = self.clone();
@@ -519,6 +455,10 @@ impl Cluster {
                     pending: Mutex::new(HashMap::new()),
                     next_token: AtomicU64::new(1),
                     health: PeerHealth::new(),
+                    port: OnceLock::new(),
+                    endpoint: OnceLock::new(),
+                    dropped_send_failed: Arc::new(AtomicU64::new(0)),
+                    dropped_unknown_locality: Arc::new(AtomicU64::new(0)),
                 })
             })
             .collect();
@@ -537,188 +477,88 @@ impl Cluster {
             migration: MigrationRegistry::new(),
             timer: TimerWheel::new(),
             delay: RwLock::new(None),
-            transport: RwLock::new(Transport::InProcess(Vec::new())),
             response_timeout: RwLock::new(None),
             system_gids,
         });
         for loc in &shared.localities {
             *loc.cluster.write() = Arc::downgrade(&shared);
+            let reg = loc.runtime.counter_registry();
+            for (name, counter) in [
+                ("count/dropped/send-failed", &loc.dropped_send_failed),
+                (
+                    "count/dropped/unknown-locality",
+                    &loc.dropped_unknown_locality,
+                ),
+            ] {
+                let counter = counter.clone();
+                reg.register(
+                    CounterPath::new("parcels", loc.id, Instance::Total, name),
+                    move || counter.load(Ordering::Relaxed),
+                );
+            }
         }
-        // Default transport: the in-process parcelport, one per locality,
-        // delivering straight back into the cluster.
-        let inproc: Vec<Arc<InProcessParcelport>> = (0..shared.localities.len())
-            .map(|_| Arc::new(InProcessParcelport::new(Self::delivery_sink(&shared, None))))
-            .collect();
-        *shared.transport.write() = Transport::InProcess(inproc);
         Cluster { shared }
     }
 
-    /// The sink a parcelport drives: inbound parcels enter the delivery
-    /// path; a lost peer fails the owning locality's pending requests.
-    fn delivery_sink(shared: &Arc<ClusterShared>, owner: Option<usize>) -> PortSink {
+    /// The sink a locality's parcelport drives: inbound parcels enter the
+    /// delivery path; a lost peer fails the locality's pending requests.
+    fn delivery_sink(shared: &Arc<ClusterShared>, owner: usize) -> PortSink {
         let weak = Arc::downgrade(shared);
         Arc::new(move |ev| {
             let Some(shared) = weak.upgrade() else { return };
+            let loc = &shared.localities[owner];
             match ev {
-                PortEvent::Deliver(p) => ClusterShared::deliver(&shared, p),
-                PortEvent::PeerLost(peer) => {
-                    if let Some(loc) = owner.and_then(|i| shared.localities.get(i)) {
-                        loc.fail_pending_to(peer);
-                    }
-                }
+                PortEvent::Deliver(p) => ClusterShared::deliver(&shared, p, loc),
+                PortEvent::PeerLost(peer) => loc.fail_pending_to(peer),
             }
         })
     }
 
-    /// Switch the cluster's transport to real TCP parcelports on
-    /// loopback: one listener per locality, a full mesh of per-direction
-    /// connections, parcel coalescing per [`tcp::TcpConfig`]. The
-    /// network-delay model still composes on top (delays are applied
-    /// before the parcel is handed to the port). Wire-level counters
-    /// (`/parcels/.../bytes/sent`, `count/writes`,
-    /// `count/dropped/corrupt-frame`) register on each locality's counter
-    /// registry.
-    pub fn attach_tcp(&self, cfg: tcp::TcpConfig) -> Result<()> {
-        let shared = &self.shared;
-        let n = self.len();
-        let mut ports = Vec::with_capacity(n);
-        for i in 0..n {
-            let sink = Self::delivery_sink(shared, Some(i));
-            let addr = "127.0.0.1:0".parse().expect("loopback addr");
-            let port = tcp::TcpParcelport::bind(i as u32, addr, sink, cfg.clone())
-                .map_err(|e| Error::Io(e.to_string()))?;
-            ports.push(port);
+    /// [`Cluster::new`] with every locality given its own parcelport
+    /// [`Stack`] on loopback and a full mesh of connections between them.
+    /// The network-delay model still composes on top (delays apply before
+    /// a parcel is handed to the port). Each layer registers its counters
+    /// on its locality's registry.
+    fn with_stack(localities: usize, threads_each: usize, stack: &Stack) -> Result<Cluster> {
+        let c = Cluster::new(localities, threads_each);
+        let shared = &c.shared;
+        let mut tcps = Vec::with_capacity(localities);
+        for (i, loc) in shared.localities.iter().enumerate() {
+            let (port, tcp) = build_stack(loc.id, stack, Self::delivery_sink(shared, i))?;
+            port.clone()
+                .register_counters(loc.runtime.counter_registry(), loc.id);
+            let _ = loc.port.set(port);
+            let _ = loc.endpoint.set(tcp.local_addr());
+            tcps.push(tcp);
         }
-        for i in 0..n {
-            for j in 0..n {
+        for (i, tcp) in tcps.iter().enumerate() {
+            for (j, peer) in shared.localities.iter().enumerate() {
                 if i != j {
-                    ports[i].connect_peer(j as u32, ports[j].local_addr())?;
+                    tcp.connect_peer(j as u32, peer.endpoint().expect("endpoint set above"))?;
                 }
             }
         }
-        Self::register_wire_counters(shared, &ports);
-        *shared.transport.write() = Transport::Tcp(ports);
-        Ok(())
+        Ok(c)
     }
 
-    /// Register the wire-level TCP counters (`/parcels{...}/bytes/sent`
-    /// etc.) on each locality's registry.
-    fn register_wire_counters(shared: &Arc<ClusterShared>, ports: &[Arc<tcp::TcpParcelport>]) {
-        for (i, port) in ports.iter().enumerate() {
-            let reg = shared.localities[i].runtime.counter_registry().clone();
-            let p = port.clone();
-            reg.register(
-                CounterPath::new("parcels", i as u32, Instance::Total, "bytes/sent"),
-                move || p.bytes_sent(),
-            );
-            let p = port.clone();
-            reg.register(
-                CounterPath::new("parcels", i as u32, Instance::Total, "bytes/received"),
-                move || p.bytes_received(),
-            );
-            let p = port.clone();
-            reg.register(
-                CounterPath::new("parcels", i as u32, Instance::Total, "count/writes"),
-                move || p.writes(),
-            );
-            let p = port.clone();
-            let path = "count/dropped/corrupt-frame";
-            reg.register(CounterPath::new("parcels", i as u32, Instance::Total, path), move || {
-                p.corrupt_frames()
-            });
-        }
-    }
-
-    /// Switch the transport to TCP wrapped in the resilience stack:
-    /// every inter-locality parcel is sequenced, acked and retransmitted
-    /// by a [`ReliableParcelport`]; with `chaos` set, a
-    /// [`FaultyParcelport`] between the reliable layer and the socket
-    /// injects the seeded fault schedule (drop / duplicate /
-    /// delay-reorder / bit-corruption), one decorrelated
-    /// [`FaultPlan`] stream per locality.
+    /// A cluster whose every inter-locality parcel crosses a loopback
+    /// socket: TCP parcelports with framing and coalescing.
     ///
-    /// Outbound path: reliable → faulty (optional) → TCP; inbound events
-    /// climb back up the same chain. Resilience counters
-    /// (`/resilience{locality#L/total}/count/retransmits`, `dup-drops`,
-    /// `corrupt-drops`, `acks-sent`, `data/sent`, `data/delivered`) and
-    /// — under chaos — `/chaos{...}/count/injected-*` register on each
-    /// locality; they exist only on this transport, so counter-exact
-    /// tests of the plain runtime registry are unaffected.
-    pub fn attach_tcp_resilient(
-        &self,
-        tcp_cfg: tcp::TcpConfig,
-        rel_cfg: ReliableConfig,
-        chaos: Option<ChaosSpec>,
-    ) -> Result<()> {
-        let shared = &self.shared;
-        let n = self.len();
-        let mut rels: Vec<Arc<ReliableParcelport>> = Vec::with_capacity(n);
-        let mut tcps: Vec<Arc<tcp::TcpParcelport>> = Vec::with_capacity(n);
-        let mut faults: Vec<Arc<FaultyParcelport>> = Vec::new();
-        for i in 0..n {
-            let owner = Self::delivery_sink(shared, Some(i));
-            let rel = ReliableParcelport::new(i as u32, rel_cfg.clone(), owner);
-            let addr = "127.0.0.1:0".parse().expect("loopback addr");
-            let port =
-                tcp::TcpParcelport::bind(i as u32, addr, rel.inbound_sink(), tcp_cfg.clone())
-                    .map_err(|e| Error::Io(e.to_string()))?;
-            let inner: Arc<dyn Parcelport> = match &chaos {
-                Some(spec) => {
-                    let plan = Arc::new(FaultPlan::for_stream(spec.clone(), i as u64));
-                    // Crash-gate PeerLost events go through the reliable
-                    // layer's sink so its retransmit state is purged too.
-                    let f = FaultyParcelport::new(port.clone(), plan, Some(rel.inbound_sink()));
-                    faults.push(f.clone());
-                    f
-                }
-                None => port.clone(),
-            };
-            rel.attach_inner(inner);
-            tcps.push(port);
-            rels.push(rel);
-        }
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    tcps[i].connect_peer(j as u32, tcps[j].local_addr())?;
-                }
-            }
-        }
-        Self::register_wire_counters(shared, &tcps);
-        for (i, rel) in rels.iter().enumerate() {
-            let reg = shared.localities[i].runtime.counter_registry().clone();
-            let path = |name: &str| CounterPath::new("resilience", i as u32, Instance::Total, name);
-            let p = rel.clone();
-            reg.register(path("count/retransmits"), move || p.retransmits());
-            let p = rel.clone();
-            reg.register(path("count/dup-drops"), move || p.dup_drops());
-            let p = rel.clone();
-            reg.register(path("count/corrupt-drops"), move || p.corrupt_drops());
-            let p = rel.clone();
-            reg.register(path("count/acks-sent"), move || p.acks_sent());
-            let p = rel.clone();
-            reg.register(path("data/sent"), move || p.data_sent());
-            let p = rel.clone();
-            reg.register(path("data/delivered"), move || p.data_delivered());
-        }
-        for (i, f) in faults.iter().enumerate() {
-            let reg = shared.localities[i].runtime.counter_registry().clone();
-            let path = |name: &str| CounterPath::new("chaos", i as u32, Instance::Total, name);
-            let p = f.clone();
-            reg.register(path("count/injected-drops"), move || p.injected_drops());
-            let p = f.clone();
-            reg.register(path("count/injected-dups"), move || p.injected_dups());
-            let p = f.clone();
-            reg.register(path("count/injected-delays"), move || p.injected_delays());
-            let p = f.clone();
-            reg.register(path("count/injected-corrupts"), move || p.injected_corrupts());
-        }
-        *shared.transport.write() = Transport::Resilient { rel: rels, faulty: faults, tcp: tcps };
-        Ok(())
+    /// # Panics
+    /// Panics if loopback listeners cannot be bound.
+    pub fn new_tcp(localities: usize, threads_each: usize) -> Cluster {
+        Cluster::with_stack(localities, threads_each, &Stack::Tcp)
+            .expect("TCP parcelport on loopback")
     }
 
-    /// [`Cluster::new`] + [`Cluster::attach_tcp_resilient`] with default
-    /// tuning — the chaos-run entry point used by `repro --chaos`.
+    /// A cluster over the resilient TCP stack — the chaos-run entry point
+    /// used by `repro --chaos`. Every inter-locality parcel is sequenced,
+    /// acked and retransmitted by the reliable layer; with `chaos` set, a
+    /// fault injector below it applies the seeded schedule (drop /
+    /// duplicate / delay-reorder / bit-corruption), one decorrelated
+    /// stream per locality. Resilience counters
+    /// (`/resilience{locality#L/total}/...`) and, under chaos,
+    /// `/chaos{...}/count/injected-*` register on each locality.
     ///
     /// # Panics
     /// Panics if loopback listeners cannot be bound.
@@ -727,52 +567,9 @@ impl Cluster {
         threads_each: usize,
         chaos: Option<ChaosSpec>,
     ) -> Cluster {
-        let c = Cluster::new(localities, threads_each);
-        c.attach_tcp_resilient(tcp::TcpConfig::default(), ReliableConfig::default(), chaos)
-            .expect("resilient TCP parcelport on loopback");
-        c
-    }
-
-    /// [`Cluster::new`] + [`Cluster::attach_tcp`] with default tuning:
-    /// every inter-locality parcel really crosses a loopback socket.
-    ///
-    /// # Panics
-    /// Panics if loopback listeners cannot be bound.
-    pub fn new_tcp(localities: usize, threads_each: usize) -> Cluster {
-        let c = Cluster::new(localities, threads_each);
-        c.attach_tcp(tcp::TcpConfig::default())
-            .expect("TCP parcelport on loopback");
-        c
-    }
-
-    /// The TCP parcelports, in locality order (empty for the in-process
-    /// transport) — for wire-level stats and fault injection.
-    pub fn tcp_ports(&self) -> Vec<Arc<tcp::TcpParcelport>> {
-        match &*self.shared.transport.read() {
-            Transport::Tcp(p) => p.clone(),
-            Transport::Resilient { tcp, .. } => tcp.clone(),
-            Transport::InProcess(_) => Vec::new(),
-        }
-    }
-
-    /// The reliable-delivery layers, in locality order (empty unless
-    /// [`Cluster::attach_tcp_resilient`] is active) — for retransmit and
-    /// dedup statistics.
-    pub fn reliable_ports(&self) -> Vec<Arc<ReliableParcelport>> {
-        match &*self.shared.transport.read() {
-            Transport::Resilient { rel, .. } => rel.clone(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// The chaos injectors, in locality order (empty unless
-    /// [`Cluster::attach_tcp_resilient`] was given a [`ChaosSpec`]) —
-    /// for injected-fault statistics and manual crash/hang gates.
-    pub fn faulty_ports(&self) -> Vec<Arc<FaultyParcelport>> {
-        match &*self.shared.transport.read() {
-            Transport::Resilient { faulty, .. } => faulty.clone(),
-            _ => Vec::new(),
-        }
+        let stack = chaos.map_or(Stack::Reliable, Stack::Chaos);
+        Cluster::with_stack(localities, threads_each, &stack)
+            .expect("resilient TCP parcelport on loopback")
     }
 
     /// Fail remote calls whose response does not arrive within `d`
@@ -788,17 +585,13 @@ impl Cluster {
     }
 
     /// Fault injection: sever locality `i` from the cluster as if its
-    /// node died — its listener and all of its connections close, and
-    /// every peer's outstanding requests toward it fail with
-    /// [`Error::PeerLost`]. Only meaningful on the TCP transport.
+    /// node died — its whole parcelport stack shuts down, closing its
+    /// listener and connections, and every peer's outstanding requests
+    /// toward it fail with [`Error::PeerLost`]. Does nothing when the
+    /// cluster exchanges parcels in-process.
     pub fn disconnect_locality(&self, i: usize) {
-        let port = match &*self.shared.transport.read() {
-            Transport::Tcp(p) => p.get(i).cloned(),
-            Transport::Resilient { tcp, .. } => tcp.get(i).cloned(),
-            Transport::InProcess(_) => None,
-        };
-        if let Some(p) = port {
-            p.shutdown();
+        if let Some(port) = self.shared.localities.get(i).and_then(|l| l.port.get()) {
+            port.shutdown();
         }
     }
 
@@ -949,16 +742,17 @@ impl Cluster {
 
     /// Block until every locality's runtime is idle.
     pub fn wait_idle(&self) {
+        let ports = self.shared.ports();
         loop {
             for loc in &self.shared.localities {
                 loc.runtime.wait_idle();
             }
-            // Parcels in the timer wheel or queued in a parcelport may
-            // spawn more work when they land; only stop once nothing is
-            // pending anywhere.
+            // Parcels in the timer wheel, queued in a parcelport or on the
+            // wire may spawn more work when they land; only stop once
+            // nothing is pending anywhere.
             let busy = self.shared.timer.pending() > 0
-                || self.shared.transport.read().pending() > 0
-                || self.shared.transport.read().in_flight() > 0
+                || ports.iter().any(|p| p.pending() > 0)
+                || in_flight(&ports) > 0
                 || self
                     .shared
                     .localities
@@ -974,7 +768,9 @@ impl Cluster {
     /// Shut down all localities' runtimes (quiescing the transport
     /// first, so no late parcels land on stopping runtimes).
     pub fn shutdown(&self) {
-        self.shared.transport.read().shutdown_ports();
+        for port in self.shared.ports() {
+            port.shutdown();
+        }
         for loc in &self.shared.localities {
             loc.runtime.shutdown();
         }
@@ -1206,6 +1002,15 @@ mod tests {
 
     fn tcp_cluster() -> Cluster {
         with_actions(Cluster::new_tcp(3, 2))
+    }
+
+    /// Sum of the locality-total counter `/{object}{locality#*/total}/{name}`.
+    fn total(c: &Cluster, object: &str, name: &str) -> u64 {
+        c.counter_snapshot()
+            .iter()
+            .filter(|(p, _)| p.object == object && p.instance == Instance::Total && p.name == name)
+            .map(|(_, v)| v)
+            .sum()
     }
 
     fn with_actions(c: Cluster) -> Cluster {
@@ -1472,12 +1277,9 @@ mod tests {
             .unwrap();
         assert_eq!(f.get(), "over tcp");
         // The request and its response really went over the wire.
-        let ports = c.tcp_ports();
-        assert_eq!(ports.len(), 3);
-        let wire_parcels: u64 = ports.iter().map(|p| p.parcels_sent()).sum();
+        let wire_parcels = total(&c, "parcels", "count/wire-sent");
         assert!(wire_parcels >= 2, "request + response on sockets, got {wire_parcels}");
-        let wire_bytes: u64 = ports.iter().map(|p| p.bytes_sent()).sum();
-        assert!(wire_bytes > 0);
+        assert!(total(&c, "parcels", "bytes/sent") > 0);
         c.shutdown();
     }
 
@@ -1524,22 +1326,17 @@ mod tests {
         assert_eq!(sent, received, "parcel conservation violated over TCP");
         // …and at the wire level (every inter-locality parcel here
         // crosses a socket; none of these targets are self-sends).
-        let ports = c.tcp_ports();
-        let wire_sent: u64 = ports.iter().map(|p| p.parcels_sent()).sum();
-        let wire_received: u64 = ports.iter().map(|p| p.parcels_received()).sum();
+        let wire_sent = total(&c, "parcels", "count/wire-sent");
+        let wire_received = total(&c, "parcels", "count/wire-received");
         assert_eq!(wire_sent, wire_received, "wire-level conservation violated");
         assert!(wire_sent >= 30, "wire_sent {wire_sent}");
         // Coalescing means fewer physical writes than parcels.
-        let writes: u64 = ports.iter().map(|p| p.writes()).sum();
+        let writes = total(&c, "parcels", "count/writes");
         assert!(writes <= wire_sent, "writes {writes} vs parcels {wire_sent}");
-        // The wire counters surface through the introspection registry.
-        let snap = c.counter_snapshot();
-        let wire_counter: u64 = snap
-            .iter()
-            .filter(|(p, _)| p.object == "parcels" && p.name == "bytes/sent")
-            .map(|(_, v)| v)
-            .sum();
-        assert!(wire_counter > 0, "/parcels/.../bytes/sent must be registered");
+        assert!(
+            total(&c, "parcels", "bytes/sent") > 0,
+            "/parcels/.../bytes/sent must count"
+        );
         c.shutdown();
     }
 
@@ -1604,13 +1401,101 @@ mod tests {
         c.shutdown();
     }
 
+    #[test]
+    fn send_failures_with_nobody_to_tell_are_counted() {
+        let c = tcp_cluster();
+        // AGAS knows a GID on locality 9, which has no connection: the
+        // TCP layer refuses the parcel, and a fire-and-forget apply has no
+        // caller to fail.
+        let nowhere = c.agas().allocate(9);
+        c.locality(0).apply(nowhere, ECHO, &()).unwrap();
+        let path = CounterPath::new("parcels", 0, Instance::Total, "count/dropped/send-failed");
+        assert_eq!(c.counter_snapshot().get(&path), Some(1));
+        // A request gets the typed error instead and is not a drop.
+        let f = c.locality(0).async_action_raw(nowhere, ECHO, &()).unwrap();
+        assert_eq!(f.try_get(), Err(Error::UnknownLocality(9)));
+        assert_eq!(c.counter_snapshot().get(&path), Some(1));
+        c.shutdown();
+    }
+
+    #[test]
+    fn parcels_to_unknown_localities_are_counted() {
+        let c = cluster();
+        let nowhere = c.agas().allocate(9);
+        c.locality(1).apply(nowhere, ECHO, &()).unwrap();
+        let path = CounterPath::new(
+            "parcels",
+            1,
+            Instance::Total,
+            "count/dropped/unknown-locality",
+        );
+        assert_eq!(c.counter_snapshot().get(&path), Some(1));
+        c.shutdown();
+    }
+
+    #[test]
+    fn transport_counter_paths_are_pinned() {
+        // perfbench's ledger and the Prometheus endpoint read these paths
+        // by name: no layer may rename or drop one silently.
+        let registered = |c: Cluster| -> std::collections::BTreeSet<String> {
+            let paths = c
+                .counter_snapshot()
+                .iter()
+                .filter(|(p, _)| matches!(p.object.as_str(), "parcels" | "resilience" | "chaos"))
+                .map(|(p, _)| p.to_string())
+                .collect();
+            c.shutdown();
+            paths
+        };
+        let paths = |names: &[(&str, &str)]| -> std::collections::BTreeSet<String> {
+            (0..2)
+                .flat_map(|l| {
+                    names.iter().map(move |(object, name)| {
+                        CounterPath::new(*object, l, Instance::Total, *name).to_string()
+                    })
+                })
+                .collect()
+        };
+        let tcp: &[(&str, &str)] = &[
+            // runtime
+            ("parcels", "count/sent"),
+            ("parcels", "count/received"),
+            // cluster
+            ("parcels", "count/dropped/send-failed"),
+            ("parcels", "count/dropped/unknown-locality"),
+            // TCP layer
+            ("parcels", "bytes/sent"),
+            ("parcels", "bytes/received"),
+            ("parcels", "count/writes"),
+            ("parcels", "count/dropped/corrupt-frame"),
+            ("parcels", "count/wire-sent"),
+            ("parcels", "count/wire-received"),
+        ];
+        let resilient: &[(&str, &str)] = &[
+            // reliable layer
+            ("resilience", "count/retransmits"),
+            ("resilience", "count/dup-drops"),
+            ("resilience", "count/corrupt-drops"),
+            ("resilience", "count/dropped/malformed-carrier"),
+            ("resilience", "count/peer-give-ups"),
+            ("resilience", "count/acks-sent"),
+            ("resilience", "data/sent"),
+            ("resilience", "data/delivered"),
+            // fault injector
+            ("chaos", "count/injected-drops"),
+            ("chaos", "count/injected-dups"),
+            ("chaos", "count/injected-delays"),
+            ("chaos", "count/injected-corrupts"),
+        ];
+        assert_eq!(registered(Cluster::new_tcp(2, 1)), paths(tcp));
+        let chaos = Cluster::new_resilient(2, 1, Some(ChaosSpec::pinned()));
+        assert_eq!(registered(chaos), paths(&[tcp, resilient].concat()));
+    }
+
     // ---- Resilient transport -------------------------------------------
 
     fn resilient_cluster(chaos: Option<ChaosSpec>) -> Cluster {
-        let c = Cluster::new(3, 2);
-        c.attach_tcp_resilient(tcp::TcpConfig::default(), ReliableConfig::default(), chaos)
-            .unwrap();
-        with_actions(c)
+        with_actions(Cluster::new_resilient(3, 2, chaos))
     }
 
     #[test]
@@ -1646,25 +1531,24 @@ mod tests {
         c.wait_idle();
         // Effectively-once despite injected drops, dups and corruption.
         assert_eq!(*c.get_component::<Mutex<i64>>(gid).unwrap().lock(), 50);
-        let rels = c.reliable_ports();
-        let sent: u64 = rels.iter().map(|p| p.data_sent()).sum();
-        let delivered: u64 = rels.iter().map(|p| p.data_delivered()).sum();
+        let sent = total(&c, "resilience", "data/sent");
+        let delivered = total(&c, "resilience", "data/delivered");
         assert_eq!(sent, delivered, "logical ledger balances at idle");
         // The schedule above must actually have injected something, and
         // the injected faults surface through the counter registry.
-        let faults = c.faulty_ports();
-        let injected: u64 = faults
-            .iter()
-            .map(|f| f.injected_drops() + f.injected_dups() + f.injected_corrupts())
-            .sum();
+        let injected: u64 = [
+            "count/injected-drops",
+            "count/injected-dups",
+            "count/injected-corrupts",
+        ]
+        .iter()
+        .map(|name| total(&c, "chaos", name))
+        .sum();
         assert!(injected > 0, "chaos spec injected no faults — seed too tame");
-        let snap = c.counter_snapshot();
-        let retransmits: u64 = snap
-            .iter()
-            .filter(|(p, _)| p.object == "resilience" && p.name == "count/retransmits")
-            .map(|(_, v)| v)
-            .sum();
-        assert!(retransmits > 0, "drops must force retransmission");
+        assert!(
+            total(&c, "resilience", "count/retransmits") > 0,
+            "drops must force retransmission"
+        );
         c.shutdown();
     }
 

@@ -10,10 +10,12 @@
 
 pub mod frame;
 pub mod serialize;
+pub mod stack;
 pub mod tcp;
 
 use crate::agas::Gid;
 use crate::error::{Error, Result};
+use crate::introspect::CounterRegistry;
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::cmp::Reverse;
@@ -137,14 +139,14 @@ pub enum PortEvent {
 pub type PortSink = Arc<dyn Fn(PortEvent) + Send + Sync>;
 
 /// A transport that moves parcels between localities — Fig. 1's
-/// "Parcelport" box. Two implementations exist: the zero-copy in-process
-/// handoff ([`InProcessParcelport`]) used by a single-process
-/// [`crate::locality::Cluster`], and the real socket transport
-/// ([`tcp::TcpParcelport`]) with framing and coalescing.
+/// "Parcelport" box. Layers compose by wrapping one another: the socket
+/// transport ([`tcp::TcpParcelport`]) at the bottom, optionally the
+/// seeded fault injector and the reliable-delivery layer above it, all
+/// assembled by [`stack::build_stack`]. A locality holds only the top of
+/// its stack and reaches every layer below through this trait. Clusters
+/// whose localities share a process hold no port at all: a parcel is
+/// handed straight to the destination's delivery path.
 pub trait Parcelport: Send + Sync {
-    /// Transport name for diagnostics ("inproc", "tcp").
-    fn name(&self) -> &'static str;
-
     /// Queue `parcel` for delivery to `parcel.dest_locality`. May block
     /// briefly for backpressure; fails with
     /// [`Error::PeerLost`](crate::error::Error::PeerLost) once the peer
@@ -155,64 +157,48 @@ pub trait Parcelport: Send + Sync {
     /// wire (or the sink) — `Cluster::wait_idle` polls this.
     fn pending(&self) -> usize;
 
-    /// Total payload+header bytes put on the wire so far.
-    fn bytes_sent(&self) -> u64;
+    /// Parcels this stack has sent, on the scale its top layer balances:
+    /// unique data parcels for the reliable layer, wire parcels for TCP.
+    /// Summed over a cluster it equals Σ[`Parcelport::delivered`] once
+    /// nothing is in flight.
+    fn sent(&self) -> u64;
 
-    /// Number of physical writes issued — with coalescing this is
-    /// (often much) smaller than the number of parcels sent.
-    fn writes(&self) -> u64;
+    /// Parcels this stack has handed to its owner's sink, counted only
+    /// after the handoff, so an idle check that reads this before
+    /// [`Parcelport::sent`] can never see a false zero.
+    fn delivered(&self) -> u64;
 
-    /// Stop accepting sends and release transport resources.
+    /// Whether any layer of this stack has lost a peer. After that the
+    /// sent/delivered ledger can never balance: parcels toward the dead
+    /// peer will never be delivered.
+    fn peer_lost(&self) -> bool;
+
+    /// Register this layer's counters, and those of the layers below it,
+    /// on `registry` under locality `locality`.
+    fn register_counters(self: Arc<Self>, registry: &CounterRegistry, locality: u32);
+
+    /// Stop accepting sends and release transport resources, down the
+    /// whole stack.
     fn shutdown(&self);
 }
 
-/// The in-process parcelport: hands every parcel straight to the sink on
-/// the caller's thread — the shared-memory "transport" a single-process
-/// cluster uses.
-pub struct InProcessParcelport {
-    sink: PortSink,
-    parcels: std::sync::atomic::AtomicU64,
-    bytes: std::sync::atomic::AtomicU64,
-}
-
-impl InProcessParcelport {
-    /// Wrap `sink` as a parcelport.
-    pub fn new(sink: PortSink) -> InProcessParcelport {
-        InProcessParcelport {
-            sink,
-            parcels: std::sync::atomic::AtomicU64::new(0),
-            bytes: std::sync::atomic::AtomicU64::new(0),
-        }
+/// Parcels sent but not yet delivered across `ports` (0 once any of
+/// them has lost a peer, since that ledger never balances again).
+///
+/// Every delivered count is read before any sent count. A parcel is
+/// counted sent before it can be delivered, and delivered only once it
+/// is in the destination's delivery path, so a delivery racing this
+/// read can only make the result too high, never a false zero. The
+/// opposite order can miss a parcel that lands after the sent read and
+/// whose handler sends a response before the delivered read: the two
+/// reads then balance while that response is still on the wire.
+pub(crate) fn in_flight(ports: &[Arc<dyn Parcelport>]) -> u64 {
+    if ports.iter().any(|p| p.peer_lost()) {
+        return 0;
     }
-}
-
-impl Parcelport for InProcessParcelport {
-    fn name(&self) -> &'static str {
-        "inproc"
-    }
-
-    fn send(&self, parcel: Parcel) -> Result<()> {
-        use std::sync::atomic::Ordering;
-        self.parcels.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(parcel.wire_bytes() as u64, Ordering::Relaxed);
-        (self.sink)(PortEvent::Deliver(parcel));
-        Ok(())
-    }
-
-    fn pending(&self) -> usize {
-        0 // delivery is synchronous
-    }
-
-    fn bytes_sent(&self) -> u64 {
-        self.bytes.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    fn writes(&self) -> u64 {
-        // One "write" per parcel: nothing coalesces in shared memory.
-        self.parcels.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    fn shutdown(&self) {}
+    let delivered: u64 = ports.iter().map(|p| p.delivered()).sum();
+    let sent: u64 = ports.iter().map(|p| p.sent()).sum();
+    sent.saturating_sub(delivered)
 }
 
 type Deferred = Box<dyn FnOnce() + Send + 'static>;
@@ -383,7 +369,7 @@ impl Drop for TimerWheel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
     #[test]
     fn timer_runs_in_order() {
@@ -462,5 +448,56 @@ mod tests {
         };
         assert!(p.wire_bytes() > 100);
         assert!(p.wire_bytes() < 200);
+    }
+
+    /// A port with parcel `k` in flight whose ledger takes one step right
+    /// after it is first read: `k` is delivered and its handler sends the
+    /// response `k + 1`.
+    #[derive(Default)]
+    struct RacingPort {
+        sent: AtomicU64,
+        delivered: AtomicU64,
+        reads: AtomicUsize,
+    }
+
+    impl RacingPort {
+        fn read(&self, counter: &AtomicU64) -> u64 {
+            let v = counter.load(Ordering::SeqCst);
+            if self.reads.fetch_add(1, Ordering::SeqCst) == 0 {
+                self.delivered.fetch_add(1, Ordering::SeqCst);
+                self.sent.fetch_add(1, Ordering::SeqCst);
+            }
+            v
+        }
+    }
+
+    impl Parcelport for RacingPort {
+        fn send(&self, _parcel: Parcel) -> Result<()> {
+            Ok(())
+        }
+        fn pending(&self) -> usize {
+            0
+        }
+        fn sent(&self) -> u64 {
+            self.read(&self.sent)
+        }
+        fn delivered(&self) -> u64 {
+            self.read(&self.delivered)
+        }
+        fn peer_lost(&self) -> bool {
+            false
+        }
+        fn register_counters(self: Arc<Self>, _: &CounterRegistry, _: u32) {}
+        fn shutdown(&self) {}
+    }
+
+    #[test]
+    fn in_flight_never_reads_a_false_zero_across_a_request_response_step() {
+        let port = RacingPort::default();
+        port.sent.store(1, Ordering::SeqCst);
+        let ports: Vec<Arc<dyn Parcelport>> = vec![Arc::new(port)];
+        // Read sent-first, this step would balance the ledger (1 sent, 1
+        // delivered) while the response is still on the wire.
+        assert_eq!(in_flight(&ports), 2, "the response must count as in flight");
     }
 }

@@ -26,6 +26,7 @@
 use super::frame;
 use super::{Parcel, Parcelport, PortEvent, PortSink};
 use crate::error::{Error, Result};
+use crate::introspect::CounterRegistry;
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -196,11 +197,6 @@ impl TcpParcelport {
         self.listener_addr
     }
 
-    /// This port's locality id.
-    pub fn local_id(&self) -> u32 {
-        self.inner.local_id
-    }
-
     /// Establish the outgoing connection to `peer_id` at `addr`, with
     /// bounded retry/backoff (the peer's listener may not be up yet).
     /// Each sleep is jittered ±25% from a PRNG seeded by the
@@ -261,48 +257,19 @@ impl TcpParcelport {
         Ok(())
     }
 
-    /// Parcels handed to [`Parcelport::send`] so far.
-    pub fn parcels_sent(&self) -> u64 {
-        self.inner.stats.parcels_sent.load(Ordering::Relaxed)
+    /// Total frame bytes put on the wire so far.
+    pub fn bytes_sent(&self) -> u64 {
+        self.inner.stats.bytes_sent.load(Ordering::Relaxed)
     }
 
-    /// Parcels decoded off the wire so far.
-    pub fn parcels_received(&self) -> u64 {
-        self.inner.stats.parcels_received.load(Ordering::Relaxed)
-    }
-
-    /// Whether any peer connection has ever died. Once true, cluster-wide
-    /// `parcels_sent == parcels_received` can no longer be expected: frames
-    /// queued toward the dead peer will never be decoded.
-    pub fn any_peer_lost(&self) -> bool {
-        self.inner.peer_lost.load(Ordering::Acquire)
-    }
-
-    /// Bytes read off the wire so far.
-    pub fn bytes_received(&self) -> u64 {
-        self.inner.stats.bytes_received.load(Ordering::Relaxed)
-    }
-
-    /// Inbound connections dropped because their byte stream failed to
-    /// decode as frames.
-    pub fn corrupt_frames(&self) -> u64 {
-        self.inner.stats.corrupt_frames.load(Ordering::Relaxed)
-    }
-
-    /// Sever the connection state for `peer` as if it died: close the
-    /// outgoing queue (senders get [`Error::PeerLost`]) and shut the
-    /// inbound streams down. Used by tests and fault injection.
-    pub fn drop_peer(&self, peer: u32) {
-        self.inner.mark_peer_lost();
-        self.inner.close_peer_queue(peer);
+    /// Number of physical writes issued — with coalescing this is
+    /// (often much) smaller than the number of parcels sent.
+    pub fn writes(&self) -> u64 {
+        self.inner.stats.writes.load(Ordering::Relaxed)
     }
 }
 
 impl Parcelport for TcpParcelport {
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
     fn send(&self, parcel: Parcel) -> Result<()> {
         if self.inner.shutdown.load(Ordering::Acquire) {
             return Err(Error::RuntimeShutDown);
@@ -332,12 +299,14 @@ impl Parcelport for TcpParcelport {
         frame::encode(&parcel, &mut q.buf);
         let len = q.buf.len() - before;
         q.lens.push(len);
+        // Counted before the writer can see the frame, so no receiver
+        // ever counts a parcel its sender has not.
+        self.inner.stats.parcels_sent.fetch_add(1, Ordering::Relaxed);
         let wake = std::mem::take(&mut q.writer_idle);
         drop(q);
         if wake {
             peer.shared.ready.notify_one();
         }
-        self.inner.stats.parcels_sent.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -350,12 +319,35 @@ impl Parcelport for TcpParcelport {
             .sum()
     }
 
-    fn bytes_sent(&self) -> u64 {
-        self.inner.stats.bytes_sent.load(Ordering::Relaxed)
+    fn sent(&self) -> u64 {
+        self.inner.stats.parcels_sent.load(Ordering::Relaxed)
     }
 
-    fn writes(&self) -> u64 {
-        self.inner.stats.writes.load(Ordering::Relaxed)
+    fn delivered(&self) -> u64 {
+        self.inner.stats.parcels_received.load(Ordering::Relaxed)
+    }
+
+    fn peer_lost(&self) -> bool {
+        self.inner.peer_lost.load(Ordering::Acquire)
+    }
+
+    /// The wire-level counters under `/parcels{locality#L/total}/`. The
+    /// wire parcel counts include acks and retransmits, so they are named
+    /// apart from the runtime's logical `count/sent`/`count/received`.
+    fn register_counters(self: Arc<Self>, registry: &CounterRegistry, locality: u32) {
+        registry.register_fields(
+            "parcels",
+            locality,
+            &self.inner,
+            &[
+                ("bytes/sent", |i| &i.stats.bytes_sent),
+                ("bytes/received", |i| &i.stats.bytes_received),
+                ("count/writes", |i| &i.stats.writes),
+                ("count/dropped/corrupt-frame", |i| &i.stats.corrupt_frames),
+                ("count/wire-sent", |i| &i.stats.parcels_sent),
+                ("count/wire-received", |i| &i.stats.parcels_received),
+            ],
+        );
     }
 
     fn shutdown(&self) {
@@ -580,8 +572,8 @@ mod tests {
             assert_eq!(p.payload[0], i as u8, "in-order delivery");
             assert_eq!(p.action, 7);
         }
-        assert_eq!(a.parcels_sent(), 20);
-        assert_eq!(b.parcels_received(), 20);
+        assert_eq!(a.sent(), 20);
+        assert_eq!(b.delivered(), 20);
         a.shutdown();
         b.shutdown();
     }
@@ -665,8 +657,8 @@ mod tests {
             PortEvent::PeerLost(l) => panic!("wrong peer lost: {l}"),
             PortEvent::Deliver(_) => panic!("garbage decoded as a parcel"),
         }
-        assert_eq!(b.corrupt_frames(), 1);
-        assert!(b.any_peer_lost());
+        assert_eq!(b.inner.stats.corrupt_frames.load(Ordering::Relaxed), 1);
+        assert!(b.peer_lost());
         a.shutdown();
         b.shutdown();
     }

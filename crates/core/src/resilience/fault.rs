@@ -8,10 +8,11 @@
 //! determinism proptest in `tests/resilience.rs` pins down.
 
 use crate::error::{Error, Result};
-use crate::parcel::{Parcel, Parcelport, PortEvent, TimerWheel};
+use crate::introspect::CounterRegistry;
+use crate::parcel::{Parcel, Parcelport, TimerWheel};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -321,19 +322,8 @@ impl FaultPlan {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PeerGate {
-    Open,
-    /// Sends fail with `PeerLost` — a crashed peer.
-    Crashed,
-    /// Sends are silently swallowed — a hung peer (worse than a crash:
-    /// no error ever surfaces from the transport itself).
-    Hung,
-}
-
 /// A [`Parcelport`] decorator that injects the faults a [`FaultPlan`]
-/// schedules: drop, duplicate, delay/reorder, payload bit-corruption,
-/// and manual peer crash/hang gates.
+/// schedules: drop, duplicate, delay/reorder and payload bit-corruption.
 ///
 /// It sits *above* framing, so injected corruption models end-to-end
 /// damage the wire checksum cannot see — exactly what the reliability
@@ -342,8 +332,6 @@ pub struct FaultyParcelport {
     inner: Arc<dyn Parcelport>,
     plan: Arc<FaultPlan>,
     timer: TimerWheel,
-    gates: Mutex<HashMap<u32, PeerGate>>,
-    sink: Option<crate::parcel::PortSink>,
     drops: AtomicU64,
     dups: AtomicU64,
     delays: AtomicU64,
@@ -351,84 +339,22 @@ pub struct FaultyParcelport {
 }
 
 impl FaultyParcelport {
-    /// Wrap `inner`, injecting faults per `plan`. `sink` (the owner's
-    /// event sink) is only used to surface `PeerLost` for crashed gates.
-    pub fn new(
-        inner: Arc<dyn Parcelport>,
-        plan: Arc<FaultPlan>,
-        sink: Option<crate::parcel::PortSink>,
-    ) -> Arc<FaultyParcelport> {
+    /// Wrap `inner`, injecting faults per `plan`.
+    pub fn new(inner: Arc<dyn Parcelport>, plan: Arc<FaultPlan>) -> Arc<FaultyParcelport> {
         Arc::new(FaultyParcelport {
             inner,
             plan,
             timer: TimerWheel::new(),
-            gates: Mutex::new(HashMap::new()),
-            sink,
             drops: AtomicU64::new(0),
             dups: AtomicU64::new(0),
             delays: AtomicU64::new(0),
             corrupts: AtomicU64::new(0),
         })
     }
-
-    /// Simulate a peer crash: subsequent sends to `peer` fail with
-    /// [`Error::PeerLost`] and the owner sink (if any) is notified.
-    pub fn crash_peer(&self, peer: u32) {
-        self.gates.lock().insert(peer, PeerGate::Crashed);
-        if let Some(sink) = &self.sink {
-            sink(PortEvent::PeerLost(peer));
-        }
-    }
-
-    /// Simulate a hung peer: subsequent sends to `peer` are silently
-    /// swallowed (no error, no delivery).
-    pub fn hang_peer(&self, peer: u32) {
-        self.gates.lock().insert(peer, PeerGate::Hung);
-    }
-
-    /// Reopen a crashed/hung peer gate.
-    pub fn heal_peer(&self, peer: u32) {
-        self.gates.lock().remove(&peer);
-    }
-
-    /// Parcels dropped so far.
-    pub fn injected_drops(&self) -> u64 {
-        self.drops.load(Ordering::Relaxed)
-    }
-
-    /// Parcels duplicated so far.
-    pub fn injected_dups(&self) -> u64 {
-        self.dups.load(Ordering::Relaxed)
-    }
-
-    /// Parcels delayed so far.
-    pub fn injected_delays(&self) -> u64 {
-        self.delays.load(Ordering::Relaxed)
-    }
-
-    /// Parcels bit-corrupted so far.
-    pub fn injected_corrupts(&self) -> u64 {
-        self.corrupts.load(Ordering::Relaxed)
-    }
-
-    /// The plan driving this port.
-    pub fn plan(&self) -> &Arc<FaultPlan> {
-        &self.plan
-    }
 }
 
 impl Parcelport for FaultyParcelport {
-    fn name(&self) -> &'static str {
-        "faulty"
-    }
-
     fn send(&self, parcel: Parcel) -> Result<()> {
-        let peer = parcel.dest_locality;
-        match self.gates.lock().get(&peer).copied().unwrap_or(PeerGate::Open) {
-            PeerGate::Crashed => return Err(Error::PeerLost(peer)),
-            PeerGate::Hung => return Ok(()),
-            PeerGate::Open => {}
-        }
         match self.plan.next_fate() {
             SendFate::Deliver => self.inner.send(parcel),
             SendFate::Drop => {
@@ -469,12 +395,32 @@ impl Parcelport for FaultyParcelport {
         self.timer.pending() + self.inner.pending()
     }
 
-    fn bytes_sent(&self) -> u64 {
-        self.inner.bytes_sent()
+    fn sent(&self) -> u64 {
+        self.inner.sent()
     }
 
-    fn writes(&self) -> u64 {
-        self.inner.writes()
+    fn delivered(&self) -> u64 {
+        self.inner.delivered()
+    }
+
+    fn peer_lost(&self) -> bool {
+        self.inner.peer_lost()
+    }
+
+    /// `/chaos{locality#L/total}/count/injected-*`, then the layer below.
+    fn register_counters(self: Arc<Self>, registry: &CounterRegistry, locality: u32) {
+        registry.register_fields(
+            "chaos",
+            locality,
+            &self,
+            &[
+                ("count/injected-drops", |p| &p.drops),
+                ("count/injected-dups", |p| &p.dups),
+                ("count/injected-delays", |p| &p.delays),
+                ("count/injected-corrupts", |p| &p.corrupts),
+            ],
+        );
+        self.inner.clone().register_counters(registry, locality);
     }
 
     fn shutdown(&self) {

@@ -19,6 +19,7 @@
 //! entirely: liveness probes must not be healed into lies.
 
 use crate::error::{Error, Result};
+use crate::introspect::CounterRegistry;
 use crate::parcel::frame::{fnv1a32, fnv1a32_with};
 use crate::parcel::{ActionId, Parcel, Parcelport, PortEvent, PortSink};
 use bytes::Bytes;
@@ -128,6 +129,10 @@ pub struct ReliableParcelport {
     retransmits: AtomicU64,
     dup_drops: AtomicU64,
     corrupt_drops: AtomicU64,
+    /// Carriers too short to hold the wrap header.
+    malformed_drops: AtomicU64,
+    /// Peers declared lost after `max_retransmits`.
+    give_ups: AtomicU64,
     acks_sent: AtomicU64,
 }
 
@@ -149,6 +154,8 @@ impl ReliableParcelport {
             retransmits: AtomicU64::new(0),
             dup_drops: AtomicU64::new(0),
             corrupt_drops: AtomicU64::new(0),
+            malformed_drops: AtomicU64::new(0),
+            give_ups: AtomicU64::new(0),
             acks_sent: AtomicU64::new(0),
         });
         let weak = Arc::downgrade(&port);
@@ -190,48 +197,9 @@ impl ReliableParcelport {
         Arc::new(move |ev| me.on_inbound(ev))
     }
 
-    /// Unique data parcels accepted from the owner.
-    pub fn data_sent(&self) -> u64 {
-        self.data_sent.load(Ordering::Relaxed)
-    }
-
-    /// Unique data parcels delivered to the owner (post-dedup).
-    pub fn data_delivered(&self) -> u64 {
-        self.data_delivered.load(Ordering::Relaxed)
-    }
-
-    /// Retransmissions performed.
-    pub fn retransmits(&self) -> u64 {
-        self.retransmits.load(Ordering::Relaxed)
-    }
-
-    /// Duplicate data parcels dropped by the receive window.
-    pub fn dup_drops(&self) -> u64 {
-        self.dup_drops.load(Ordering::Relaxed)
-    }
-
-    /// Data parcels rejected by the end-to-end checksum (healed by
-    /// retransmission).
-    pub fn corrupt_drops(&self) -> u64 {
-        self.corrupt_drops.load(Ordering::Relaxed)
-    }
-
-    /// Ack parcels sent.
-    pub fn acks_sent(&self) -> u64 {
-        self.acks_sent.load(Ordering::Relaxed)
-    }
-
     /// Data parcels sent but not yet acknowledged.
     pub fn unacked(&self) -> usize {
         self.state.lock().unacked.len()
-    }
-
-    /// True once any peer has been declared lost (retransmits exhausted
-    /// or the inner transport reported the loss). After that the logical
-    /// sent/delivered ledger can never balance, so idle checks should
-    /// stop consulting it.
-    pub fn any_peer_lost(&self) -> bool {
-        !self.state.lock().dead_peers.is_empty()
     }
 
     fn wrap(&self, parcel: &Parcel, seq: u64) -> Parcel {
@@ -348,10 +316,7 @@ impl ReliableParcelport {
                         self.corrupt_drops.fetch_add(1, Ordering::Relaxed);
                     }
                     Err(false) => {
-                        eprintln!(
-                            "parallex: reliable layer dropped malformed carrier from locality {}",
-                            p.source
-                        );
+                        self.malformed_drops.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             }
@@ -430,20 +395,13 @@ impl ReliableParcelport {
             let _ = inner.send(parcel);
         }
         for peer in lost {
-            eprintln!(
-                "parallex: locality {} unreachable after {} retransmits; declaring lost",
-                peer, self.cfg.max_retransmits
-            );
+            self.give_ups.fetch_add(1, Ordering::Relaxed);
             (self.owner)(PortEvent::PeerLost(peer));
         }
     }
 }
 
 impl Parcelport for ReliableParcelport {
-    fn name(&self) -> &'static str {
-        "reliable"
-    }
-
     fn send(&self, parcel: Parcel) -> Result<()> {
         let inner = self.inner()?;
         if self.cfg.bypass_actions.contains(&parcel.action) {
@@ -482,12 +440,46 @@ impl Parcelport for ReliableParcelport {
         self.inner.read().as_ref().map_or(0, |p| p.pending())
     }
 
-    fn bytes_sent(&self) -> u64 {
-        self.inner.read().as_ref().map_or(0, |p| p.bytes_sent())
+    /// Unique data parcels accepted from the owner (no retransmits, acks
+    /// or bypass traffic): under faults only this logical ledger
+    /// balances, never the wire's.
+    fn sent(&self) -> u64 {
+        self.data_sent.load(Ordering::Acquire)
     }
 
-    fn writes(&self) -> u64 {
-        self.inner.read().as_ref().map_or(0, |p| p.writes())
+    /// Unique data parcels forwarded to the owner after dedup.
+    fn delivered(&self) -> u64 {
+        self.data_delivered.load(Ordering::Acquire)
+    }
+
+    /// A peer declared lost here (retransmits exhausted, or the loss
+    /// reported from below) or anywhere further down the stack.
+    fn peer_lost(&self) -> bool {
+        !self.state.lock().dead_peers.is_empty()
+            || self.inner.read().as_ref().is_some_and(|p| p.peer_lost())
+    }
+
+    /// `/resilience{locality#L/total}/...` for this layer, then the
+    /// layers below it.
+    fn register_counters(self: Arc<Self>, registry: &CounterRegistry, locality: u32) {
+        registry.register_fields(
+            "resilience",
+            locality,
+            &self,
+            &[
+                ("count/retransmits", |p| &p.retransmits),
+                ("count/dup-drops", |p| &p.dup_drops),
+                ("count/corrupt-drops", |p| &p.corrupt_drops),
+                ("count/dropped/malformed-carrier", |p| &p.malformed_drops),
+                ("count/peer-give-ups", |p| &p.give_ups),
+                ("count/acks-sent", |p| &p.acks_sent),
+                ("data/sent", |p| &p.data_sent),
+                ("data/delivered", |p| &p.data_delivered),
+            ],
+        );
+        if let Some(inner) = self.inner.read().clone() {
+            inner.register_counters(registry, locality);
+        }
     }
 
     fn shutdown(&self) {
@@ -516,6 +508,7 @@ impl Drop for ReliableParcelport {
 mod tests {
     use super::*;
     use crate::agas::Gid;
+    use crate::introspect::{CounterPath, Instance};
 
     fn parcel(src: u32, dst: u32, action: ActionId, payload: &[u8], token: Option<u64>) -> Parcel {
         Parcel {
@@ -535,24 +528,36 @@ mod tests {
     }
 
     impl Parcelport for Loopback {
-        fn name(&self) -> &'static str {
-            "loopback"
-        }
         fn send(&self, parcel: Parcel) -> Result<()> {
-            let sink = self.sink.lock().clone().unwrap();
-            sink(PortEvent::Deliver(parcel));
+            if let Some(sink) = self.sink.lock().clone() {
+                sink(PortEvent::Deliver(parcel));
+            }
             Ok(())
         }
         fn pending(&self) -> usize {
             0
         }
-        fn bytes_sent(&self) -> u64 {
+        fn sent(&self) -> u64 {
             0
         }
-        fn writes(&self) -> u64 {
+        fn delivered(&self) -> u64 {
             0
         }
+        fn peer_lost(&self) -> bool {
+            false
+        }
+        fn register_counters(self: Arc<Self>, _: &CounterRegistry, _: u32) {}
         fn shutdown(&self) {}
+    }
+
+    /// The layer's counter at `name`, read through the registry it
+    /// registers into.
+    fn counter(rel: &Arc<ReliableParcelport>, name: &str) -> u64 {
+        let reg = CounterRegistry::new();
+        rel.clone().register_counters(&reg, 0);
+        reg.snapshot()
+            .get(&CounterPath::new("resilience", 0, Instance::Total, name))
+            .unwrap()
     }
 
     fn rig(cfg: ReliableConfig) -> (Arc<ReliableParcelport>, Arc<Mutex<Vec<Parcel>>>) {
@@ -609,8 +614,8 @@ mod tests {
         sink(PortEvent::Deliver(w.clone()));
         sink(PortEvent::Deliver(w));
         assert_eq!(seen.lock().len(), 1, "exactly-once handoff");
-        assert_eq!(rel.dup_drops(), 2);
-        assert_eq!(rel.data_delivered(), 1);
+        assert_eq!(counter(&rel, "count/dup-drops"), 2);
+        assert_eq!(rel.delivered(), 1);
         rel.shutdown();
     }
 
@@ -640,9 +645,9 @@ mod tests {
         }
         assert_eq!(seen.lock().len(), 10);
         assert_eq!(rel.unacked(), 0, "acks cleared the retransmit buffer");
-        assert_eq!(rel.data_sent(), 10);
-        assert_eq!(rel.data_delivered(), 10);
-        assert!(rel.acks_sent() >= 1);
+        assert_eq!(rel.sent(), 10);
+        assert_eq!(rel.delivered(), 10);
+        assert!(counter(&rel, "count/acks-sent") >= 1);
         rel.shutdown();
     }
 
@@ -653,9 +658,61 @@ mod tests {
             ..ReliableConfig::default()
         });
         rel.send(parcel(0, 0, 0x99, b"hb", None)).unwrap();
-        assert_eq!(rel.data_sent(), 0);
+        assert_eq!(rel.sent(), 0);
         assert_eq!(seen.lock().len(), 1, "bypass traffic is forwarded untouched");
         assert_eq!(seen.lock()[0].action, 0x99);
+        rel.shutdown();
+    }
+
+    #[test]
+    fn malformed_carrier_is_dropped_and_counted() {
+        let (rel, seen) = rig(ReliableConfig::default());
+        // A data carrier too short to hold the wrap header.
+        rel.inbound_sink()(PortEvent::Deliver(parcel(
+            1,
+            0,
+            RELIABLE_DATA,
+            b"short",
+            None,
+        )));
+        assert!(seen.lock().is_empty(), "nothing reaches the owner");
+        assert_eq!(counter(&rel, "count/dropped/malformed-carrier"), 1);
+        rel.shutdown();
+    }
+
+    #[test]
+    fn giving_up_on_a_silent_peer_is_counted_and_reported() {
+        let lost: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
+        let lost2 = lost.clone();
+        let owner: PortSink = Arc::new(move |ev| {
+            if let PortEvent::PeerLost(p) = ev {
+                lost2.lock().push(p);
+            }
+        });
+        let cfg = ReliableConfig {
+            retransmit_timeout: Duration::from_millis(1),
+            max_retransmits: 2,
+            ..ReliableConfig::default()
+        };
+        let rel = ReliableParcelport::new(0, cfg, owner);
+        // An inner port with no sink: every send vanishes, no ack returns.
+        rel.attach_inner(Arc::new(Loopback {
+            sink: Mutex::new(None),
+        }));
+        rel.send(parcel(0, 3, 0x42, b"into the void", None))
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while lost.lock().is_empty() {
+            assert!(
+                Instant::now() < deadline,
+                "the silent peer was never given up"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(*lost.lock(), vec![3]);
+        assert_eq!(counter(&rel, "count/peer-give-ups"), 1);
+        assert_eq!(counter(&rel, "count/retransmits"), 2);
+        assert!(rel.peer_lost());
         rel.shutdown();
     }
 }

@@ -48,8 +48,7 @@ pub(crate) struct Core {
     pub(crate) counters: Counters,
     /// Per-worker execution stats feeding the per-worker counter paths.
     pub(crate) worker_stats: Vec<WorkerStat>,
-    /// Structured event recorder shared with the scheduler and the
-    /// legacy `TaskTrace` facade.
+    /// Structured event recorder shared with the scheduler.
     pub(crate) tracer: Arc<Tracer>,
     /// Always-on per-worker latency histograms (task, steal,
     /// future-wait, parcel-RTT), shared with the scheduler and cluster.
@@ -291,7 +290,7 @@ impl RuntimeBuilder {
             fault: RwLock::new(None),
             fault_enabled: AtomicBool::new(false),
         });
-        core.sched.attach_tracer(tracer.clone());
+        core.sched.attach_tracer(tracer);
         core.sched.attach_latency(latency);
         let registry = Arc::new(CounterRegistry::new());
         crate::perf::register_runtime_counters(&registry, self.locality, &core);
@@ -306,7 +305,6 @@ impl RuntimeBuilder {
             .collect();
         Runtime {
             inner: Arc::new(RuntimeInner {
-                legacy_trace: crate::trace::TaskTrace::with_tracer(tracer),
                 core,
                 topology,
                 threads: Mutex::new(threads),
@@ -364,8 +362,6 @@ struct RuntimeInner {
     registry: Arc<CounterRegistry>,
     /// Locality id used in counter paths and trace pids.
     locality: u32,
-    /// Compatibility facade over `core.tracer` (see [`crate::trace`]).
-    legacy_trace: crate::trace::TaskTrace,
 }
 
 impl RuntimeInner {
@@ -421,13 +417,6 @@ impl Runtime {
     /// scheduler's steal statistics.
     pub fn perf_snapshot(&self) -> crate::perf::Snapshot {
         self.inner.core.counters.snapshot(&self.inner.core.sched)
-    }
-
-    /// The task timeline recorder (disabled until
-    /// [`crate::trace::TaskTrace::start`] is called). Legacy facade over
-    /// [`Runtime::tracer`].
-    pub fn task_trace(&self) -> &crate::trace::TaskTrace {
-        &self.inner.legacy_trace
     }
 
     /// The structured event tracer (see [`crate::introspect`]): typed

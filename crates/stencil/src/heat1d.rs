@@ -382,7 +382,12 @@ mod tests {
         install(&cluster);
         let solver = Heat1dSolver::new(&cluster, params);
         let got = solver.run(bump);
-        let wire_parcels: u64 = cluster.tcp_ports().iter().map(|p| p.parcels_sent()).sum();
+        let wire_parcels: u64 = cluster
+            .counter_snapshot()
+            .iter()
+            .filter(|(p, _)| p.object == "parcels" && p.name == "count/wire-sent")
+            .map(|(_, v)| v)
+            .sum();
         cluster.shutdown();
         assert_eq!(got.len(), 64);
         assert!(max_abs_diff(&got, &want) < 1e-14, "{}", max_abs_diff(&got, &want));

@@ -6,9 +6,9 @@
 //! cargo run --release -p parallex-bench --example irregular_workloads
 //! ```
 
+use parallex::introspect::{analyze, EventKind};
 use parallex::prelude::*;
 use parallex::sched::SchedulerPolicy;
-use parallex::trace::TaskTrace;
 use parallex::util::HighResolutionTimer;
 use parallex_workloads::quadrature::integrate_adaptive;
 use parallex_workloads::uts::{uts_count, uts_count_sequential, UtsParams};
@@ -46,17 +46,24 @@ fn main() {
 
     // ---- adaptive quadrature with a task-timeline trace ------------------
     println!("\nadaptive quadrature of a spike, with the task tracer on:");
-    rt.task_trace().start();
+    rt.tracer().start();
     let v = integrate_adaptive(&rt, |x| 1.0 / (1e-4 + x * x), -1.0, 1.0, 1e-9);
     rt.wait_idle();
-    let recs = rt.task_trace().stop();
-    let report = TaskTrace::report(&recs, rt.workers());
+    let trace = rt.tracer().stop();
+    let grains: Vec<f64> = trace
+        .of_kind(EventKind::TaskRun)
+        .filter_map(|e| e.dur_us)
+        .collect();
+    // Task self-time over the traced window: nested (help-executed)
+    // tasks count once, so utilization never exceeds 100%.
+    let a = analyze(&[(0, trace)]);
+    let busy_us: f64 = a.worker_lanes().map(|l| l.compute_us).sum();
     println!("  integral = {v:.4}");
     println!(
         "  {} tasks, mean grain {:.1} us, pool utilization {:.0}%",
-        report.tasks,
-        report.mean_task_us,
-        report.utilization * 100.0
+        grains.len(),
+        grains.iter().sum::<f64>() / grains.len().max(1) as f64,
+        100.0 * busy_us / (a.wall_us * rt.workers() as f64).max(1e-9)
     );
     rt.shutdown();
     println!("\nThe subdivision tree followed the integrand's spike — data-directed");

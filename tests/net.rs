@@ -5,7 +5,7 @@ use parallex::agas::Gid;
 use parallex::locality::Cluster;
 use parallex::parcel::frame::{self, DecodeError};
 use parallex::parcel::serialize;
-use parallex::parcel::{Parcel, Parcelport};
+use parallex::parcel::Parcel;
 use proptest::prelude::*;
 
 fn mk_parcel(
@@ -198,12 +198,18 @@ fn tcp_cluster_conserves_parcels_under_load() {
         assert_eq!(f.try_get().expect("echo response"), i as u64 + 1);
     }
     cluster.wait_idle();
-    let sent: u64 = cluster.tcp_ports().iter().map(|p| p.parcels_sent()).sum();
-    let received: u64 = cluster.tcp_ports().iter().map(|p| p.parcels_received()).sum();
+    let snap = cluster.counter_snapshot();
+    let total = |name: &str| -> u64 {
+        snap.iter()
+            .filter(|(p, _)| p.object == "parcels" && p.name == name)
+            .map(|(_, v)| v)
+            .sum()
+    };
+    let (sent, received) = (total("count/wire-sent"), total("count/wire-received"));
     // Every request crossed the wire and produced a wire response.
     assert!(sent >= 400, "200 requests + 200 responses expected, saw {sent}");
     assert_eq!(sent, received, "no parcel may be lost or duplicated on loopback");
-    let writes: u64 = cluster.tcp_ports().iter().map(|p| p.writes()).sum();
+    let writes = total("count/writes");
     assert!(writes > 0 && writes <= sent, "coalescing can only reduce writes");
     cluster.shutdown();
 }
@@ -213,8 +219,11 @@ fn corrupt_stream_is_counted_on_the_cluster_registry() {
     use parallex::introspect::counters::{CounterPath, Instance};
     use std::io::Write;
     let cluster = Cluster::new_tcp(2, 1);
-    let port = cluster.tcp_ports()[1].clone();
-    let mut raw = std::net::TcpStream::connect(port.local_addr()).expect("connect");
+    let endpoint = cluster
+        .locality(1)
+        .endpoint()
+        .expect("a TCP cluster has endpoints");
+    let mut raw = std::net::TcpStream::connect(endpoint).expect("connect");
     raw.write_all(&0u32.to_le_bytes()).expect("hello"); // a valid hello from locality 0
     raw.write_all(&[0xAB; 64]).expect("garbage"); // then bytes that are no frame
     let path = CounterPath::new("parcels", 1, Instance::Total, "count/dropped/corrupt-frame");
@@ -223,9 +232,27 @@ fn corrupt_stream_is_counted_on_the_cluster_registry() {
         assert!(std::time::Instant::now() < deadline, "{path} never read 1");
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
-    // The corrupt stream counts as a lost peer.
-    assert!(port.any_peer_lost());
-    let drops: u64 = cluster.tcp_ports().iter().map(|p| p.corrupt_frames()).sum();
+    // The corrupt stream counts as a lost peer: locality 1 stops sending
+    // to locality 0, and its requests there fail with the typed error.
+    loop {
+        let f = cluster
+            .locality(1)
+            .async_action_raw(cluster.system_gid(0), ECHO, &0u64);
+        if f.expect("send").try_get() == Err(parallex::error::Error::PeerLost(0)) {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "peer 0 never counted as lost"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let drops: u64 = cluster
+        .counter_snapshot()
+        .iter()
+        .filter(|(p, _)| p.name == "count/dropped/corrupt-frame")
+        .map(|(_, v)| v)
+        .sum();
     assert_eq!(drops, 1, "only the corrupted stream is dropped");
     cluster.shutdown();
 }

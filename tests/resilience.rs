@@ -181,9 +181,17 @@ fn wait_idle_settles_exactly_once_deliveries_under_retransmits() {
     // retransmit: at this point every one of the 100 must have landed
     // exactly once.
     assert_eq!(*c.get_component::<Mutex<i64>>(gid).unwrap().lock(), 100);
-    let rels = c.reliable_ports();
-    let sent: u64 = rels.iter().map(|p| p.data_sent()).sum();
-    let delivered: u64 = rels.iter().map(|p| p.data_delivered()).sum();
-    assert_eq!(sent, delivered, "ledger must balance once idle");
+    let snap = c.counter_snapshot();
+    let total = |name: &str| -> u64 {
+        snap.iter()
+            .filter(|(p, _)| p.object == "resilience" && p.name == name)
+            .map(|(_, v)| v)
+            .sum()
+    };
+    assert_eq!(
+        total("data/sent"),
+        total("data/delivered"),
+        "ledger must balance once idle"
+    );
     c.shutdown();
 }
