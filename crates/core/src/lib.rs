@@ -56,6 +56,8 @@ pub mod runtime;
 pub mod sched;
 pub mod task;
 pub mod topology;
+#[cfg(test)]
+mod trace;
 pub mod util;
 
 /// The most common imports, HPX-style.

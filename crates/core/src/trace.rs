@@ -1,183 +1,50 @@
-//! Task timeline tracing (the APEX-style introspection HPX users attach
-//! for scheduling studies).
-//!
-//! When enabled, every executed task records `(worker, start, end)`;
-//! [`TaskTrace::report`] condenses the timeline into per-worker busy time,
-//! pool utilization and grain-size statistics — the quantities the
-//! paper's AMT-overhead discussion revolves around, measured on the *real*
-//! runtime rather than the simulator.
-//!
-//! **Deprecation note:** this API predates [`crate::introspect`] and is
-//! kept as a thin compatibility facade over
-//! [`introspect::Tracer`](crate::introspect::Tracer). It now shares the
-//! tracer's per-worker bounded buffers (no more global-mutex hot path,
-//! no unbounded growth) and simply projects the task-run spans out of
-//! the richer event stream. New code should use `Runtime::tracer()` and
-//! the `introspect` exporters directly; `TaskTrace::report` remains the
-//! canonical busy-time/utilization summary.
+//! Runtime-level checks of task tracing: a live runtime's
+//! [`Tracer`](crate::introspect::Tracer) together with
+//! [`analyze`](crate::introspect::analyze), the busy-time, utilization
+//! and grain-size summary of a task timeline.
 
-use std::sync::Arc;
-
-use crate::introspect::{EventKind, Tracer};
-
-/// One executed task.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TaskRecord {
-    /// Worker that ran the task.
-    pub worker: usize,
-    /// Start, microseconds since trace start.
-    pub start_us: f64,
-    /// End, microseconds since trace start.
-    pub end_us: f64,
-}
-
-impl TaskRecord {
-    /// Task duration in microseconds.
-    pub fn duration_us(&self) -> f64 {
-        self.end_us - self.start_us
-    }
-}
-
-/// Recorder attached to a runtime (off by default; negligible cost while
-/// disabled — one relaxed atomic load per task).
-///
-/// Compatibility facade over the runtime's
-/// [`introspect::Tracer`](crate::introspect::Tracer): `start`/`stop`
-/// drive the shared tracer, and `stop` filters the task-run spans back
-/// into the legacy [`TaskRecord`] shape. Starting either interface
-/// starts (and clears) the same underlying event buffers.
-pub struct TaskTrace {
-    tracer: Arc<Tracer>,
-}
-
-impl TaskTrace {
-    pub(crate) fn with_tracer(tracer: Arc<Tracer>) -> Self {
-        TaskTrace { tracer }
-    }
-
-    /// Begin recording (clears previous records).
-    pub fn start(&self) {
-        self.tracer.start();
-    }
-
-    /// Stop recording and return the timeline (task-run spans only; use
-    /// `Runtime::tracer()` for the full typed event stream).
-    pub fn stop(&self) -> Vec<TaskRecord> {
-        self.tracer
-            .stop()
-            .of_kind(EventKind::TaskRun)
-            .map(|e| TaskRecord {
-                worker: e.lane,
-                start_us: e.t_us,
-                end_us: e.t_us + e.dur_us.unwrap_or(0.0),
-            })
-            .collect()
-    }
-
-    /// Whether recording is active.
-    pub fn is_enabled(&self) -> bool {
-        self.tracer.is_enabled()
-    }
-
-    /// Condense a timeline into summary statistics.
-    pub fn report(records: &[TaskRecord], workers: usize) -> TraceReport {
-        if records.is_empty() {
-            return TraceReport {
-                tasks: 0,
-                span_us: 0.0,
-                busy_us: vec![0.0; workers],
-                utilization: 0.0,
-                mean_task_us: 0.0,
-                max_task_us: 0.0,
-            };
-        }
-        let t0 = records.iter().map(|r| r.start_us).fold(f64::INFINITY, f64::min);
-        let t1 = records.iter().map(|r| r.end_us).fold(0.0f64, f64::max);
-        // A worker blocked in a future `get` help-executes other tasks, so
-        // task intervals on one worker can NEST; busy time is the union of
-        // the intervals, not their sum (a naive sum reports >100%
-        // utilization).
-        let mut per_worker: Vec<Vec<(f64, f64)>> = vec![Vec::new(); workers];
-        let mut max_task = 0.0f64;
-        let mut total = 0.0;
-        for r in records {
-            if r.worker < workers {
-                per_worker[r.worker].push((r.start_us, r.end_us));
-            }
-            max_task = max_task.max(r.duration_us());
-            total += r.duration_us();
-        }
-        let busy: Vec<f64> = per_worker
-            .into_iter()
-            .map(|mut iv| {
-                iv.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-                let mut sum = 0.0;
-                let mut cur: Option<(f64, f64)> = None;
-                for (s, e) in iv {
-                    match &mut cur {
-                        Some((_, ce)) if s <= *ce => *ce = ce.max(e),
-                        _ => {
-                            if let Some((cs, ce)) = cur {
-                                sum += ce - cs;
-                            }
-                            cur = Some((s, e));
-                        }
-                    }
-                }
-                if let Some((cs, ce)) = cur {
-                    sum += ce - cs;
-                }
-                sum
-            })
-            .collect();
-        let span = (t1 - t0).max(1e-9);
-        TraceReport {
-            tasks: records.len(),
-            span_us: span,
-            utilization: busy.iter().sum::<f64>() / (span * workers as f64),
-            busy_us: busy,
-            mean_task_us: total / records.len() as f64,
-            max_task_us: max_task,
-        }
-    }
-}
-
-/// Summary of a recorded timeline.
-#[derive(Clone, Debug)]
-pub struct TraceReport {
-    /// Tasks recorded.
-    pub tasks: usize,
-    /// Wall span from first start to last end, microseconds.
-    pub span_us: f64,
-    /// Busy time per worker, microseconds.
-    pub busy_us: Vec<f64>,
-    /// Σbusy / (span × workers): 1.0 = perfectly packed.
-    pub utilization: f64,
-    /// Mean task duration (the measured grain size), microseconds.
-    pub mean_task_us: f64,
-    /// Longest task, microseconds.
-    pub max_task_us: f64,
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
     use crate::algorithms::par;
+    use crate::introspect::{analyze, Analysis, EventKind, Trace, TraceEvent};
     use crate::runtime::Runtime;
+
+    /// Σ worker task self-time / (window × workers): 1.0 = perfectly packed.
+    fn utilization(a: &Analysis) -> f64 {
+        let workers = a.worker_lanes().count();
+        if a.wall_us <= 0.0 || workers == 0 {
+            return 0.0;
+        }
+        a.worker_lanes().map(|l| l.compute_us).sum::<f64>() / (a.wall_us * workers as f64)
+    }
+
+    fn task(worker: usize, start_us: f64, end_us: f64) -> TraceEvent {
+        TraceEvent {
+            lane: worker,
+            kind: EventKind::TaskRun,
+            t_us: start_us,
+            dur_us: Some(end_us - start_us),
+            arg: 0,
+        }
+    }
+
+    /// `workers` worker lanes plus the external lane, as a runtime traces.
+    fn timeline(workers: usize, tasks: Vec<TraceEvent>) -> Analysis {
+        analyze(&[(0, Trace::from_parts(workers + 1, tasks, 0))])
+    }
 
     #[test]
     fn disabled_trace_records_nothing() {
         let rt = Runtime::builder().worker_threads(2).build();
         rt.spawn(|| {});
         rt.wait_idle();
-        assert!(rt.task_trace().stop().is_empty());
+        assert!(rt.tracer().stop().events.is_empty());
         rt.shutdown();
     }
 
     #[test]
     fn trace_captures_spawned_tasks() {
         let rt = Runtime::builder().worker_threads(2).build();
-        rt.task_trace().start();
+        rt.tracer().start();
         let l = crate::lcos::latch::Latch::for_runtime(&rt, 10);
         for _ in 0..10 {
             let l = l.clone();
@@ -185,11 +52,12 @@ mod tests {
         }
         l.wait();
         rt.wait_idle();
-        let recs = rt.task_trace().stop();
-        assert!(recs.len() >= 10, "{}", recs.len());
-        for r in &recs {
-            assert!(r.worker < 2);
-            assert!(r.end_us >= r.start_us);
+        let trace = rt.tracer().stop();
+        let runs: Vec<&TraceEvent> = trace.of_kind(EventKind::TaskRun).collect();
+        assert!(runs.len() >= 10, "{}", runs.len());
+        for r in &runs {
+            assert!(r.lane < 2);
+            assert!(r.dur_us.is_some_and(|d| d >= 0.0));
         }
         rt.shutdown();
     }
@@ -202,7 +70,7 @@ mod tests {
             .worker_threads(2)
             .trace_capacity(8)
             .build();
-        rt.task_trace().start();
+        rt.tracer().start();
         let l = crate::lcos::latch::Latch::for_runtime(&rt, 200);
         for _ in 0..200 {
             let l = l.clone();
@@ -223,52 +91,63 @@ mod tests {
     #[test]
     fn report_summarizes_grain_size() {
         let rt = Runtime::builder().worker_threads(3).build();
-        rt.task_trace().start();
+        rt.tracer().start();
         let mut data = vec![0.0f64; 300_000];
         par(&rt).for_each_mut(&mut data, |i, x| *x = (i as f64).sin());
         rt.wait_idle();
-        let recs = rt.task_trace().stop();
-        let report = TaskTrace::report(&recs, 3);
-        assert!(report.tasks >= 12, "4 chunks per worker: {}", report.tasks);
-        assert!(report.span_us > 0.0);
-        assert!(report.mean_task_us > 0.0);
-        assert!(report.max_task_us >= report.mean_task_us);
-        assert!(report.utilization > 0.0 && report.utilization <= 1.0);
+        let trace = rt.tracer().stop();
+        let grains: Vec<f64> = trace
+            .of_kind(EventKind::TaskRun)
+            .filter_map(|e| e.dur_us)
+            .collect();
+        assert!(grains.len() >= 12, "4 chunks per worker: {}", grains.len());
+        let mean = grains.iter().sum::<f64>() / grains.len() as f64;
+        let max = grains.iter().copied().fold(0.0f64, f64::max);
+        assert!(mean > 0.0);
+        assert!(max >= mean);
+        let a = analyze(&[(0, trace)]);
+        assert!(a.wall_us > 0.0);
+        let u = utilization(&a);
+        assert!(u > 0.0 && u <= 1.0, "{u}");
         rt.shutdown();
     }
 
     #[test]
     fn report_of_empty_timeline_is_zeroed() {
-        let r = TaskTrace::report(&[], 4);
-        assert_eq!(r.tasks, 0);
-        assert_eq!(r.busy_us, vec![0.0; 4]);
-        assert_eq!(r.utilization, 0.0);
+        let a = timeline(4, vec![]);
+        assert_eq!(a.wall_us, 0.0);
+        let busy: Vec<f64> = a.worker_lanes().map(|l| l.compute_us).collect();
+        assert_eq!(busy, vec![0.0; 4]);
+        assert_eq!(utilization(&a), 0.0);
     }
 
     #[test]
     fn nested_help_execution_does_not_inflate_utilization() {
         // A task that help-executes another shows as nested intervals on
         // one worker; the union, not the sum, is the busy time.
-        let recs = vec![
-            TaskRecord { worker: 0, start_us: 0.0, end_us: 100.0 },
-            TaskRecord { worker: 0, start_us: 10.0, end_us: 60.0 },
-            TaskRecord { worker: 0, start_us: 20.0, end_us: 40.0 },
-        ];
-        let r = TaskTrace::report(&recs, 1);
-        assert!((r.busy_us[0] - 100.0).abs() < 1e-9, "{}", r.busy_us[0]);
-        assert!(r.utilization <= 1.0 + 1e-9, "{}", r.utilization);
+        let a = timeline(
+            1,
+            vec![
+                task(0, 0.0, 100.0),
+                task(0, 10.0, 60.0),
+                task(0, 20.0, 40.0),
+            ],
+        );
+        let busy = a.worker_lanes().next().unwrap().compute_us;
+        assert!((busy - 100.0).abs() < 1e-9, "{busy}");
+        assert!(utilization(&a) <= 1.0 + 1e-9, "{}", utilization(&a));
     }
 
     #[test]
     fn report_utilization_math() {
         // Two workers, one 10us task each, fully overlapping.
-        let recs = vec![
-            TaskRecord { worker: 0, start_us: 0.0, end_us: 10.0 },
-            TaskRecord { worker: 1, start_us: 0.0, end_us: 10.0 },
-        ];
-        let r = TaskTrace::report(&recs, 2);
-        assert!((r.utilization - 1.0).abs() < 1e-9);
-        assert_eq!(r.span_us, 10.0);
-        assert_eq!(r.mean_task_us, 10.0);
+        let tasks = vec![task(0, 0.0, 10.0), task(1, 0.0, 10.0)];
+        let mean_task_us = tasks.iter().filter_map(|e| e.dur_us).sum::<f64>() / 2.0;
+        assert_eq!(mean_task_us, 10.0);
+        let a = timeline(2, tasks);
+        assert!((utilization(&a) - 1.0).abs() < 1e-9);
+        assert_eq!(a.wall_us, 10.0);
+        let busy: Vec<f64> = a.worker_lanes().map(|l| l.compute_us).collect();
+        assert_eq!(busy, vec![10.0; 2]);
     }
 }
