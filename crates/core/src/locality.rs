@@ -2,10 +2,12 @@
 //!
 //! An HPX *locality* is one node of the cluster: its own thread pool,
 //! component storage and parcelport, sharing a global AGAS view. A
-//! [`Cluster`] instantiates several localities inside one process — the
-//! substrate on which the paper's distributed 1D stencil (Fig. 3) runs —
-//! and routes [`crate::parcel::Parcel`]s between them, optionally through
-//! a [`crate::parcel::DelayFn`] modeling the interconnect.
+//! [`Cluster`] of `n` ranks hosts some or all of their localities in one
+//! process — the substrate on which the paper's distributed 1D stencil
+//! (Fig. 3) runs — and routes [`crate::parcel::Parcel`]s between them,
+//! optionally through a [`crate::parcel::DelayFn`] modeling the
+//! interconnect. Parcels to ranks another process hosts leave through
+//! the sender's parcelport stack.
 
 use crate::agas::{AgasService, ComponentStore, Gid, MigrationRegistry};
 use crate::error::{Error, Result};
@@ -15,11 +17,14 @@ use crate::introspect::{
 };
 use crate::lcos::future::{Future, Promise};
 use crate::parcel::stack::{build_stack, Stack};
+use crate::parcel::tcp::TcpParcelport;
 use crate::parcel::{
     in_flight, serialize, ActionFn, ActionId, ActionRegistry, DelayFn, Parcel, Parcelport,
     PortEvent, PortSink, TimerToken, TimerWheel, RESPONSE_ACTION,
 };
-use crate::resilience::{ChaosSpec, HeartbeatConfig, PeerHealth, PeerState, HEARTBEAT_ACTION};
+use crate::resilience::{
+    ChaosSpec, FaultPlan, HeartbeatConfig, PeerHealth, PeerState, HEARTBEAT_ACTION,
+};
 use crate::runtime::Runtime;
 use crate::sched::SchedulerPolicy;
 use crate::task::{Priority, Task};
@@ -27,8 +32,9 @@ use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::net::SocketAddr;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
@@ -61,8 +67,12 @@ pub struct Locality {
     /// cluster keeps its parcels in the process: they go straight to the
     /// destination's delivery path.
     port: OnceLock<Arc<dyn Parcelport>>,
-    /// The address the stack listens on, for peers to connect to.
-    endpoint: OnceLock<SocketAddr>,
+    /// The stack's TCP layer, for addressing only.
+    tcp: OnceLock<Arc<TcpParcelport>>,
+    /// The spec of a [`Stack::Chaos`] locality.
+    chaos: Option<ChaosSpec>,
+    /// `/chaos{locality#L/total}/count/injected-panics` (chaos only).
+    injected_panics: Arc<AtomicU64>,
     /// `count/dropped/send-failed`: parcels the transport refused with
     /// no caller waiting to be told.
     dropped_send_failed: Arc<AtomicU64>,
@@ -106,7 +116,22 @@ impl Locality {
     /// The address this locality's parcelport listens on (`None` when
     /// the cluster exchanges parcels in-process).
     pub fn endpoint(&self) -> Option<SocketAddr> {
-        self.endpoint.get().copied()
+        self.tcp.get().map(|tcp| tcp.local_addr())
+    }
+
+    /// The steps, out of `steps`, whose first attempt a solver fails with
+    /// an injected task panic: [`FaultPlan::panic_steps`] of this
+    /// locality's stream of its [`Stack::Chaos`] spec. Empty on any other
+    /// stack.
+    pub fn injected_panic_steps(&self, steps: u64) -> BTreeSet<u64> {
+        self.chaos.as_ref().map_or_else(BTreeSet::new, |spec| {
+            FaultPlan::for_stream(spec.clone(), self.id as u64).panic_steps(steps)
+        })
+    }
+
+    /// Count one task panic injected from [`Locality::injected_panic_steps`].
+    pub fn count_injected_panic(&self) {
+        self.injected_panics.fetch_add(1, Ordering::Relaxed);
     }
 
     fn shared(&self) -> Result<Arc<ClusterShared>> {
@@ -158,7 +183,8 @@ impl Locality {
             },
         );
         if let Some(d) = *shared.response_timeout.read() {
-            let weak = Arc::downgrade(&shared.localities[self.id as usize]);
+            let me = shared.hosted(self.id as usize).expect("a locality hosts itself");
+            let weak = Arc::downgrade(me);
             let timer = shared.timer.schedule_cancelable(d, move || {
                 if let Some(loc) = weak.upgrade() {
                     loc.fail_token(token, Error::ResponseTimeout);
@@ -263,7 +289,11 @@ impl Locality {
 }
 
 pub(crate) struct ClusterShared {
+    /// The localities this process hosts: ranks `first..first + len`.
     localities: Vec<Arc<Locality>>,
+    first: usize,
+    /// Ranks in the whole cluster, hosted here or not.
+    ranks: usize,
     agas: AgasService,
     actions: ActionRegistry,
     migration: MigrationRegistry,
@@ -272,7 +302,7 @@ pub(crate) struct ClusterShared {
     /// If set, remote calls fail with [`Error::ResponseTimeout`] when no
     /// response arrives in time.
     response_timeout: RwLock<Option<Duration>>,
-    /// One "system" component per locality: the target GID for
+    /// One "system" component per rank: the target GID for
     /// locality-wide (collective) actions.
     system_gids: Vec<Gid>,
 }
@@ -282,7 +312,15 @@ pub(crate) struct ClusterShared {
 pub struct SystemComponent;
 
 impl ClusterShared {
-    /// Every locality's parcelport (none in an in-process cluster).
+    /// The locality of rank `rank`, or [`Error::UnknownLocality`] if this
+    /// process does not host it.
+    fn hosted(&self, rank: usize) -> Result<&Arc<Locality>> {
+        rank.checked_sub(self.first)
+            .and_then(|i| self.localities.get(i))
+            .ok_or(Error::UnknownLocality(rank as u32))
+    }
+
+    /// Every hosted locality's parcelport (none in an in-process cluster).
     fn ports(&self) -> Vec<Arc<dyn Parcelport>> {
         self.localities
             .iter()
@@ -311,7 +349,9 @@ impl ClusterShared {
     /// caller's pending request with the typed error instead of letting
     /// it hang.
     fn transmit(self: &Arc<Self>, parcel: Parcel) {
-        let src = &self.localities[parcel.source as usize];
+        let src = self
+            .hosted(parcel.source as usize)
+            .expect("parcels leave from hosted localities");
         let port = match src.port.get() {
             Some(port) if parcel.source != parcel.dest_locality => port,
             _ => return ClusterShared::deliver(self, parcel, src),
@@ -335,7 +375,7 @@ impl ClusterShared {
     /// Spawn the parcel's handler on its destination locality; `observer`
     /// is the locality that holds the parcel and counts it if dropped.
     fn deliver(self: &Arc<Self>, parcel: Parcel, observer: &Locality) {
-        let Some(dest) = self.localities.get(parcel.dest_locality as usize).cloned() else {
+        let Ok(dest) = self.hosted(parcel.dest_locality as usize).cloned() else {
             observer
                 .dropped_unknown_locality
                 .fetch_add(1, Ordering::Relaxed);
@@ -419,8 +459,14 @@ fn run_handler(
     }
 }
 
-/// A set of localities sharing an AGAS and exchanging parcels — one
-/// in-process "cluster".
+/// A set of localities sharing an AGAS and exchanging parcels.
+///
+/// A cluster has `len()` ranks, of which this process hosts a contiguous
+/// range: all of them, except under [`Cluster::host`]. The processes of
+/// one cluster run SPMD: each registers the same actions and makes the
+/// same cluster calls ([`Cluster::new_component`], solver construction)
+/// in the same order. A process allocates GIDs on ranks it does not host
+/// too, storing nothing, so a GID names the same component everywhere.
 #[derive(Clone)]
 pub struct Cluster {
     shared: Arc<ClusterShared>,
@@ -439,9 +485,48 @@ impl Cluster {
         threads_each: usize,
         policy: SchedulerPolicy,
     ) -> Cluster {
-        assert!(localities > 0, "need at least one locality");
-        let locs: Vec<Arc<Locality>> = (0..localities as u32)
-            .map(|id| {
+        Cluster::build(localities, 0..localities, threads_each, policy, None)
+            .expect("an in-process cluster binds no transport")
+    }
+
+    /// Host ranks `hosted` of a `ranks`-rank cluster, each over its own
+    /// parcelport `stack` listening on loopback, with each layer's
+    /// counters on its locality's registry. [`Cluster::connect`] wires
+    /// the mesh.
+    ///
+    /// # Panics
+    /// Panics if `hosted` is empty or reaches past `ranks`.
+    pub fn host(
+        ranks: usize,
+        hosted: Range<usize>,
+        threads_each: usize,
+        stack: &Stack,
+    ) -> Result<Cluster> {
+        Cluster::build(ranks, hosted, threads_each, SchedulerPolicy::LocalPriority, Some(stack))
+    }
+
+    /// The one construction path: runtimes, system components and, given
+    /// a `stack`, the parcelports of the hosted localities.
+    fn build(
+        ranks: usize,
+        hosted: Range<usize>,
+        threads_each: usize,
+        policy: SchedulerPolicy,
+        stack: Option<&Stack>,
+    ) -> Result<Cluster> {
+        assert!(ranks > 0, "need at least one locality");
+        assert!(
+            !hosted.is_empty() && hosted.end <= ranks,
+            "hosted ranks {hosted:?} must be a non-empty part of 0..{ranks}"
+        );
+        let chaos = stack.and_then(|s| match s {
+            Stack::Chaos(spec) => Some(spec.clone()),
+            _ => None,
+        });
+        let locs: Vec<Arc<Locality>> = hosted
+            .clone()
+            .map(|rank| {
+                let id = rank as u32;
                 Arc::new(Locality {
                     id,
                     runtime: Runtime::builder()
@@ -456,22 +541,20 @@ impl Cluster {
                     next_token: AtomicU64::new(1),
                     health: PeerHealth::new(),
                     port: OnceLock::new(),
-                    endpoint: OnceLock::new(),
+                    tcp: OnceLock::new(),
+                    chaos: chaos.clone(),
+                    injected_panics: Arc::new(AtomicU64::new(0)),
                     dropped_send_failed: Arc::new(AtomicU64::new(0)),
                     dropped_unknown_locality: Arc::new(AtomicU64::new(0)),
                 })
             })
             .collect();
         let agas = AgasService::new();
-        let system_gids: Vec<Gid> = (0..locs.len())
-            .map(|i| {
-                let gid = agas.allocate(i as u32);
-                locs[i].components.insert(gid, SystemComponent);
-                gid
-            })
-            .collect();
+        let system_gids: Vec<Gid> = (0..ranks).map(|i| agas.allocate(i as u32)).collect();
         let shared = Arc::new(ClusterShared {
             localities: locs,
+            first: hosted.start,
+            ranks,
             agas,
             actions: ActionRegistry::new(),
             migration: MigrationRegistry::new(),
@@ -482,31 +565,44 @@ impl Cluster {
         });
         for loc in &shared.localities {
             *loc.cluster.write() = Arc::downgrade(&shared);
+            loc.components
+                .insert(shared.system_gids[loc.id as usize], SystemComponent);
             let reg = loc.runtime.counter_registry();
-            for (name, counter) in [
-                ("count/dropped/send-failed", &loc.dropped_send_failed),
+            let mut counters = vec![
+                ("parcels", "count/dropped/send-failed", &loc.dropped_send_failed),
                 (
+                    "parcels",
                     "count/dropped/unknown-locality",
                     &loc.dropped_unknown_locality,
                 ),
-            ] {
+            ];
+            if loc.chaos.is_some() {
+                counters.push(("chaos", "count/injected-panics", &loc.injected_panics));
+            }
+            for (object, name, counter) in counters {
                 let counter = counter.clone();
                 reg.register(
-                    CounterPath::new("parcels", loc.id, Instance::Total, name),
+                    CounterPath::new(object, loc.id, Instance::Total, name),
                     move || counter.load(Ordering::Relaxed),
                 );
             }
+            if let Some(stack) = stack {
+                let (port, tcp) = build_stack(loc.id, stack, Self::delivery_sink(&shared, loc.id))?;
+                port.clone().register_counters(reg, loc.id);
+                let _ = loc.port.set(port);
+                let _ = loc.tcp.set(tcp);
+            }
         }
-        Cluster { shared }
+        Ok(Cluster { shared })
     }
 
     /// The sink a locality's parcelport drives: inbound parcels enter the
     /// delivery path; a lost peer fails the locality's pending requests.
-    fn delivery_sink(shared: &Arc<ClusterShared>, owner: usize) -> PortSink {
+    fn delivery_sink(shared: &Arc<ClusterShared>, owner: u32) -> PortSink {
         let weak = Arc::downgrade(shared);
         Arc::new(move |ev| {
             let Some(shared) = weak.upgrade() else { return };
-            let loc = &shared.localities[owner];
+            let loc = shared.hosted(owner as usize).expect("a stack's owner is hosted");
             match ev {
                 PortEvent::Deliver(p) => ClusterShared::deliver(&shared, p, loc),
                 PortEvent::PeerLost(peer) => loc.fail_pending_to(peer),
@@ -514,35 +610,41 @@ impl Cluster {
         })
     }
 
-    /// [`Cluster::new`] with every locality given its own parcelport
-    /// [`Stack`] on loopback and a full mesh of connections between them.
-    /// The network-delay model still composes on top (delays apply before
-    /// a parcel is handed to the port). Each layer registers its counters
-    /// on its locality's registry.
-    fn with_stack(localities: usize, threads_each: usize, stack: &Stack) -> Result<Cluster> {
-        let c = Cluster::new(localities, threads_each);
-        let shared = &c.shared;
-        let mut tcps = Vec::with_capacity(localities);
-        for (i, loc) in shared.localities.iter().enumerate() {
-            let (port, tcp) = build_stack(loc.id, stack, Self::delivery_sink(shared, i))?;
-            port.clone()
-                .register_counters(loc.runtime.counter_registry(), loc.id);
-            let _ = loc.port.set(port);
-            let _ = loc.endpoint.set(tcp.local_addr());
-            tcps.push(tcp);
-        }
-        for (i, tcp) in tcps.iter().enumerate() {
-            for (j, peer) in shared.localities.iter().enumerate() {
-                if i != j {
-                    tcp.connect_peer(j as u32, peer.endpoint().expect("endpoint set above"))?;
+    /// The one mesh connect: every hosted locality connects to every
+    /// other rank `j` at `endpoints[j]`. Call once, after every rank's
+    /// stack listens. Does nothing for an in-process cluster.
+    ///
+    /// # Panics
+    /// Panics unless there is one endpoint per rank.
+    pub fn connect(&self, endpoints: &[SocketAddr]) -> Result<()> {
+        assert_eq!(endpoints.len(), self.len(), "one endpoint per rank");
+        for loc in &self.shared.localities {
+            let Some(tcp) = loc.tcp.get() else { continue };
+            for (j, addr) in endpoints.iter().enumerate() {
+                if j != loc.id as usize {
+                    tcp.connect_peer(j as u32, *addr)?;
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Host every rank over `stack` and connect them to each other.
+    fn with_stack(localities: usize, threads_each: usize, stack: &Stack) -> Result<Cluster> {
+        let c = Cluster::host(localities, 0..localities, threads_each, stack)?;
+        let endpoints: Vec<SocketAddr> = c
+            .localities()
+            .iter()
+            .map(|l| l.endpoint().expect("a stack listens"))
+            .collect();
+        c.connect(&endpoints)?;
         Ok(c)
     }
 
     /// A cluster whose every inter-locality parcel crosses a loopback
-    /// socket: TCP parcelports with framing and coalescing.
+    /// socket: TCP parcelports with framing and coalescing. The
+    /// network-delay model still composes on top (delays apply before a
+    /// parcel is handed to the port).
     ///
     /// # Panics
     /// Panics if loopback listeners cannot be bound.
@@ -556,7 +658,8 @@ impl Cluster {
     /// acked and retransmitted by the reliable layer; with `chaos` set, a
     /// fault injector below it applies the seeded schedule (drop /
     /// duplicate / delay-reorder / bit-corruption), one decorrelated
-    /// stream per locality. Resilience counters
+    /// stream per locality, and solvers inject the spec's task panics
+    /// (see [`Locality::injected_panic_steps`]). Resilience counters
     /// (`/resilience{locality#L/total}/...`) and, under chaos,
     /// `/chaos{...}/count/injected-*` register on each locality.
     ///
@@ -588,33 +691,33 @@ impl Cluster {
     /// node died — its whole parcelport stack shuts down, closing its
     /// listener and connections, and every peer's outstanding requests
     /// toward it fail with [`Error::PeerLost`]. Does nothing when the
-    /// cluster exchanges parcels in-process.
+    /// cluster exchanges parcels in-process or does not host rank `i`.
     pub fn disconnect_locality(&self, i: usize) {
-        if let Some(port) = self.shared.localities.get(i).and_then(|l| l.port.get()) {
+        if let Some(port) = self.shared.hosted(i).ok().and_then(|l| l.port.get()) {
             port.shutdown();
         }
     }
 
-    /// Number of localities.
+    /// Number of ranks, hosted in this process or not.
     pub fn len(&self) -> usize {
-        self.shared.localities.len()
+        self.shared.ranks
     }
 
     /// Whether the cluster has no localities (never true; see
     /// [`Cluster::new`]).
     pub fn is_empty(&self) -> bool {
-        self.shared.localities.is_empty()
+        self.len() == 0
     }
 
-    /// Get locality `i`.
+    /// Get the locality of rank `i`.
     ///
     /// # Panics
-    /// Panics if out of range.
+    /// Panics if this process does not host rank `i`.
     pub fn locality(&self, i: usize) -> Arc<Locality> {
-        self.shared.localities[i].clone()
+        self.shared.hosted(i).expect("rank hosted in this process").clone()
     }
 
-    /// All localities.
+    /// The localities this process hosts, in rank order.
     pub fn localities(&self) -> &[Arc<Locality>] {
         &self.shared.localities
     }
@@ -653,46 +756,51 @@ impl Cluster {
         self.shared.migration.register::<T>();
     }
 
-    /// Create a component on `locality` and register it in AGAS.
+    /// Create a component on rank `locality` and register it in AGAS. On
+    /// a rank another process hosts this only allocates the GID, the same
+    /// one that process allocates when it stores the object (see
+    /// [`Cluster`]).
+    ///
+    /// # Panics
+    /// Panics if `locality` is not a rank of the cluster.
     pub fn new_component<T: Send + Sync + 'static>(&self, locality: usize, obj: T) -> Gid {
+        assert!(locality < self.len(), "no rank {locality} in a {}-rank cluster", self.len());
         let gid = self.shared.agas.allocate(locality as u32);
-        self.shared.localities[locality].components.insert(gid, obj);
+        if let Ok(loc) = self.shared.hosted(locality) {
+            loc.components.insert(gid, obj);
+        }
         gid
     }
 
-    /// Read a component wherever it lives (shared-memory shortcut; remote
-    /// reads in a real cluster would be an action).
+    /// Read a component on a hosted locality (shared-memory shortcut;
+    /// remote reads would be an action).
     pub fn get_component<T: Send + Sync + 'static>(&self, gid: Gid) -> Result<Arc<T>> {
-        let loc = self.shared.agas.resolve(gid)?;
-        self.shared.localities[loc as usize].components.get(gid)
+        let rank = self.shared.agas.resolve(gid)?;
+        self.shared.hosted(rank as usize)?.components.get(gid)
     }
 
-    /// Move a component to another locality, keeping its GID valid — the
-    /// AGAS migration the paper's Section III-B describes.
+    /// Move a component to another hosted locality, keeping its GID valid
+    /// — the AGAS migration the paper's Section III-B describes.
+    /// Migration to or from a rank this process does not host fails with
+    /// [`Error::UnknownLocality`].
     pub fn migrate(&self, gid: Gid, dest: usize) -> Result<()> {
-        if dest >= self.len() {
-            return Err(Error::UnknownLocality(dest as u32));
-        }
+        let to = self.shared.hosted(dest)?;
         let src = self.shared.agas.resolve(gid)?;
         if src as usize == dest {
             return Ok(());
         }
-        let store = &self.shared.localities[src as usize].components;
-        let (obj, type_name) = store.take(gid)?;
+        let from = self.shared.hosted(src as usize)?;
+        let (obj, type_name) = from.components.take(gid)?;
         let bytes = match self.shared.migration.serialize(type_name, obj.as_ref()) {
             Ok(b) => b,
             Err(e) => {
                 // Roll back: the object stays where it was.
-                self.shared.localities[src as usize]
-                    .components
-                    .insert_any(gid, obj, type_name);
+                from.components.insert_any(gid, obj, type_name);
                 return Err(e);
             }
         };
         let rebuilt = self.shared.migration.deserialize(type_name, &bytes)?;
-        self.shared.localities[dest]
-            .components
-            .insert_any(gid, rebuilt, type_name);
+        to.components.insert_any(gid, rebuilt, type_name);
         self.shared.agas.rebind(gid, dest as u32)?;
         Ok(())
     }
@@ -706,15 +814,15 @@ impl Cluster {
         self.shared.system_gids[locality]
     }
 
-    /// Collective: run `action` on *every* locality (rooted at locality 0)
-    /// and gather the decoded results in locality order — an HPX
-    /// `broadcast`/`gather` over parcels.
+    /// Collective: run `action` on *every* rank (rooted at the first
+    /// hosted locality) and gather the decoded results in rank order — an
+    /// HPX `broadcast`/`gather` over parcels.
     pub fn broadcast<A, R>(&self, action: ActionId, arg: &A) -> Result<crate::lcos::future::Future<Vec<R>>>
     where
         A: Serialize,
         R: DeserializeOwned + Send + 'static,
     {
-        let root = self.locality(0);
+        let root = &self.shared.localities[0];
         let futures = (0..self.len())
             .map(|i| root.call::<A, R>(self.system_gid(i), action, arg))
             .collect::<Result<Vec<_>>>()?;
@@ -740,9 +848,14 @@ impl Cluster {
         }))
     }
 
-    /// Block until every locality's runtime is idle.
+    /// Block until every hosted locality's runtime is idle and nothing
+    /// waits in the timer wheel or a parcelport queue. When this process
+    /// hosts every rank, also wait until every parcel sent has been
+    /// delivered; a process hosting some ranks cannot see its peers'
+    /// ledgers.
     pub fn wait_idle(&self) {
         let ports = self.shared.ports();
+        let hosts_all = self.shared.localities.len() == self.shared.ranks;
         loop {
             for loc in &self.shared.localities {
                 loc.runtime.wait_idle();
@@ -752,7 +865,7 @@ impl Cluster {
             // nothing is pending anywhere.
             let busy = self.shared.timer.pending() > 0
                 || ports.iter().any(|p| p.pending() > 0)
-                || in_flight(&ports) > 0
+                || (hosts_all && in_flight(&ports) > 0)
                 || self
                     .shared
                     .localities
@@ -765,7 +878,7 @@ impl Cluster {
         }
     }
 
-    /// Shut down all localities' runtimes (quiescing the transport
+    /// Shut down the hosted localities' runtimes (quiescing the transport
     /// first, so no late parcels land on stopping runtimes).
     pub fn shutdown(&self) {
         for port in self.shared.ports() {
@@ -776,8 +889,8 @@ impl Cluster {
         }
     }
 
-    /// Merge every locality's counter registry into one snapshot (paths
-    /// are disjoint because each locality registers under its own
+    /// Merge every hosted locality's counter registry into one snapshot
+    /// (paths are disjoint because each locality registers under its own
     /// `locality#N` instance).
     pub fn counter_snapshot(&self) -> CounterSnapshot {
         CounterSnapshot::merge(
@@ -788,16 +901,16 @@ impl Cluster {
         )
     }
 
-    /// Start structured tracing on every locality's runtime.
+    /// Start structured tracing on every hosted locality's runtime.
     pub fn start_trace(&self) {
         for loc in &self.shared.localities {
             loc.runtime.tracer().start();
         }
     }
 
-    /// Stop tracing everywhere and return `(locality id, trace)` pairs,
-    /// ready for [`crate::introspect::chrome_trace_json`] (which aligns
-    /// the per-runtime epochs onto one timeline) or
+    /// Stop tracing on the hosted localities and return `(locality id,
+    /// trace)` pairs, ready for [`crate::introspect::chrome_trace_json`]
+    /// (which aligns the per-runtime epochs onto one timeline) or
     /// [`crate::introspect::analyze`].
     pub fn stop_trace(&self) -> Vec<(u32, Trace)> {
         self.shared
@@ -807,8 +920,8 @@ impl Cluster {
             .collect()
     }
 
-    /// Serve the merged cluster-wide counter snapshot (all localities,
-    /// including latency quantiles) in Prometheus text format. The
+    /// Serve the merged counter snapshot of the hosted localities
+    /// (including latency quantiles) in Prometheus text format. The
     /// closure captures only the counter registries, so the endpoint
     /// does not keep worker threads alive beyond the cluster itself.
     pub fn serve_metrics<A: std::net::ToSocketAddrs>(
@@ -832,29 +945,29 @@ impl Cluster {
     }
 
     /// Start the heartbeat failure-detection protocol: every `interval`
-    /// each locality pings every peer with a [`HEARTBEAT_ACTION`] parcel
-    /// (sent *around* the reliable layer — a healed liveness probe would
-    /// be a lie), and a monitor thread re-scores every [`PeerHealth`]
-    /// table, walking silent peers Alive → Suspect → Dead.
+    /// each hosted locality pings every other rank with a
+    /// [`HEARTBEAT_ACTION`] parcel (sent *around* the reliable layer — a
+    /// healed liveness probe would be a lie), and a monitor thread
+    /// re-scores every hosted [`PeerHealth`] table, walking silent peers
+    /// Alive → Suspect → Dead.
     ///
-    /// Registers, per locality: `/resilience{locality#L/total}/`
+    /// Registers, per hosted locality: `/resilience{locality#L/total}/`
     /// `count/heartbeats-sent`, `count/heartbeat-misses`, and one
     /// `peer#P/state` gauge per peer (0 = alive, 1 = suspect, 2 = dead).
     /// State transitions are traced as [`EventKind::User`]
-    /// `"peer-state"` instants (`arg = peer << 8 | state`) and logged to
-    /// stderr.
+    /// `"peer-state"` instants (`arg = peer << 8 | state`).
     ///
     /// Call at most once per cluster (action and counter registration
     /// are not idempotent). Returns a handle that stops the monitor when
     /// dropped.
     pub fn start_heartbeat(&self, cfg: HeartbeatConfig) -> HeartbeatHandle {
-        let n = self.len();
+        let ranks = self.len();
         self.register_action(HEARTBEAT_ACTION, "heartbeat", |loc, _gid, payload| {
             let src: u32 = serialize::from_bytes(payload)?;
             // Heartbeats bypass the reliable layer's checksum, so a
             // chaos-corrupted sender id can arrive; don't let it invent
             // a phantom peer.
-            if (src as usize) >= loc.shared()?.localities.len() {
+            if (src as usize) >= loc.shared()?.ranks {
                 return Ok(Vec::new());
             }
             let prev = loc.health.record_heartbeat(src);
@@ -870,35 +983,32 @@ impl Cluster {
             }
             Ok(Vec::new())
         });
-        let beats: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
-        let misses: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
-        for i in 0..n {
-            let reg = self.shared.localities[i].runtime.counter_registry().clone();
+        // One slot per hosted locality, in `localities()` order.
+        let hosted = self.localities().len();
+        let beats: Arc<Vec<AtomicU64>> =
+            Arc::new((0..hosted).map(|_| AtomicU64::new(0)).collect());
+        let misses: Arc<Vec<AtomicU64>> =
+            Arc::new((0..hosted).map(|_| AtomicU64::new(0)).collect());
+        for (k, loc) in self.localities().iter().enumerate() {
+            let i = loc.id;
+            let reg = loc.runtime.counter_registry();
             let b = beats.clone();
             reg.register(
-                CounterPath::new("resilience", i as u32, Instance::Total, "count/heartbeats-sent"),
-                move || b[i].load(Ordering::Relaxed),
+                CounterPath::new("resilience", i, Instance::Total, "count/heartbeats-sent"),
+                move || b[k].load(Ordering::Relaxed),
             );
             let m = misses.clone();
             reg.register(
-                CounterPath::new("resilience", i as u32, Instance::Total, "count/heartbeat-misses"),
-                move || m[i].load(Ordering::Relaxed),
+                CounterPath::new("resilience", i, Instance::Total, "count/heartbeat-misses"),
+                move || m[k].load(Ordering::Relaxed),
             );
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let weak = Arc::downgrade(&self.shared.localities[i]);
+            for j in (0..ranks as u32).filter(|&j| j != i) {
+                let weak = Arc::downgrade(loc);
                 reg.register(
-                    CounterPath::new(
-                        "resilience",
-                        i as u32,
-                        Instance::Total,
-                        format!("peer#{j}/state"),
-                    ),
+                    CounterPath::new("resilience", i, Instance::Total, format!("peer#{j}/state")),
                     move || {
                         weak.upgrade()
-                            .and_then(|l| l.health.state(j as u32))
+                            .and_then(|l| l.health.state(j))
                             .map_or(0, PeerState::as_u64)
                     },
                 );
@@ -914,35 +1024,26 @@ impl Cluster {
                 .spawn(move || {
                     while !stop.load(Ordering::Acquire) {
                         let Some(shared) = weak.upgrade() else { return };
-                        let cluster = Cluster { shared };
-                        for i in 0..cluster.len() {
-                            let loc = cluster.locality(i);
-                            for j in 0..cluster.len() {
-                                if i == j {
-                                    continue;
-                                }
+                        for (k, loc) in shared.localities.iter().enumerate() {
+                            for j in (0..shared.ranks).filter(|&j| j != loc.id as usize) {
                                 // A send failure (peer gone) is itself a
                                 // missed heartbeat; the detector handles it.
                                 if loc
-                                    .apply(cluster.system_gid(j), HEARTBEAT_ACTION, &(i as u32))
+                                    .apply(shared.system_gids[j], HEARTBEAT_ACTION, &loc.id)
                                     .is_ok()
                                 {
-                                    beats[i].fetch_add(1, Ordering::Relaxed);
+                                    beats[k].fetch_add(1, Ordering::Relaxed);
                                 }
                             }
                         }
-                        for i in 0..cluster.len() {
-                            let loc = cluster.locality(i);
+                        for (k, loc) in shared.localities.iter().enumerate() {
                             let report = loc.health.evaluate(&cfg);
                             if report.new_misses > 0 {
-                                misses[i].fetch_add(report.new_misses, Ordering::Relaxed);
+                                misses[k].fetch_add(report.new_misses, Ordering::Relaxed);
                             }
-                            for (peer, old, new) in report.transitions {
-                                eprintln!(
-                                    "parallex: locality {i} sees peer {peer} go {old:?} -> {new:?}"
-                                );
-                                let tracer = loc.runtime.tracer();
-                                if tracer.is_enabled() {
+                            let tracer = loc.runtime.tracer();
+                            if tracer.is_enabled() {
+                                for (peer, _old, new) in report.transitions {
                                     tracer.instant(
                                         tracer.external_lane(),
                                         EventKind::User("peer-state"),
@@ -951,7 +1052,7 @@ impl Cluster {
                                 }
                             }
                         }
-                        drop(cluster);
+                        drop(shared);
                         std::thread::sleep(cfg.interval);
                     }
                 })
@@ -1486,6 +1587,8 @@ mod tests {
             ("chaos", "count/injected-dups"),
             ("chaos", "count/injected-delays"),
             ("chaos", "count/injected-corrupts"),
+            // cluster, on a chaos stack
+            ("chaos", "count/injected-panics"),
         ];
         assert_eq!(registered(Cluster::new_tcp(2, 1)), paths(tcp));
         let chaos = Cluster::new_resilient(2, 1, Some(ChaosSpec::pinned()));

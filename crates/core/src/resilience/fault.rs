@@ -58,8 +58,10 @@ impl SplitMix64 {
 ///   one, this is also the reordering knob
 /// - `delayp=<p>%`  — probability a parcel is delayed (defaults to 10%
 ///   when `delay` is set, 0 otherwise)
-/// - `panics=<n>`   — number of task panics to inject (consumed by the
-///   chaos driver via [`FaultPlan::panic_steps`] / [`FaultInjector`])
+/// - `panics=<n>`   — task panics to inject per locality: a solver on a
+///   chaos stack fails the first attempt of the [`FaultPlan::panic_steps`]
+///   steps of its locality
+///   ([`Locality::injected_panic_steps`](crate::locality::Locality::injected_panic_steps))
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChaosSpec {
     /// PRNG seed; the whole schedule is a pure function of it.
@@ -74,7 +76,7 @@ pub struct ChaosSpec {
     pub delay: Duration,
     /// Probability a parcel is delayed by `delay`.
     pub delay_p: f64,
-    /// Number of task panics the chaos driver should inject.
+    /// Task panics a solver injects per locality.
     pub panics: u32,
 }
 
@@ -307,8 +309,8 @@ impl FaultPlan {
         (0..n as u64).map(|i| self.fate_at(i)).collect()
     }
 
-    /// Choose `spec.panics` distinct indices in `[0, total)` at which the
-    /// chaos driver injects a task panic. Deterministic in the seed.
+    /// Choose `spec.panics` distinct indices in `[0, total)` at which a
+    /// solver injects a task panic. Deterministic in the seed.
     pub fn panic_steps(&self, total: u64) -> BTreeSet<u64> {
         let mut rng = SplitMix64::new(self.spec.seed ^ 0x7061_6e69_635f_6174); // "panic_at"
         let mut out = BTreeSet::new();

@@ -153,8 +153,9 @@ where
 }
 
 /// Synchronous replay: run `f` on the calling thread, retrying a panic
-/// up to `n` total attempts. Used where no runtime is available (the
-/// multi-process chaos worker's step loop).
+/// up to `n` total attempts. Used inside a running task, where a retry
+/// must not re-spawn: the heat1d solver wraps each step's interior
+/// update in it, so a chaos stack's injected task panic heals in place.
 pub fn replay_sync<T>(n: usize, mut f: impl FnMut() -> T) -> Result<T> {
     assert!(n >= 1, "replay_sync needs at least one attempt");
     let mut last: Option<Error> = None;

@@ -62,8 +62,8 @@ pub(crate) struct Core {
 
 impl Core {
     /// Execute `task`, accounting and catching panics. Panics inside raw
-    /// spawned tasks are recorded (and printed) rather than tearing down
-    /// the worker; value-returning tasks route panics through their
+    /// spawned tasks are counted and traced rather than tearing down the
+    /// worker; value-returning tasks route panics through their
     /// promise instead (see [`Runtime::async_task`]).
     pub(crate) fn run_task(&self, task: Task, worker: usize) {
         let fate = if self.fault_enabled.load(Ordering::Relaxed) {
@@ -101,18 +101,17 @@ impl Core {
         // `tasks_executed` counts successful completions only, so the
         // conservation identity `spawned == executed + panicked` holds
         // once the runtime is idle.
+        // A panic is counted and traced here; the panic hook has
+        // already reported its message.
         if result.is_ok() {
             self.counters.tasks_executed.fetch_add(1, Ordering::Relaxed);
         } else {
             self.counters.tasks_panicked.fetch_add(1, Ordering::Relaxed);
+            self.tracer.instant(worker, EventKind::User("task-panicked"), 0);
         }
         if self.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
             let _g = self.idle_lock.lock();
             self.idle_cond.notify_all();
-        }
-        if let Err(payload) = result {
-            let msg = crate::util::panic_message(&*payload);
-            eprintln!("parallex: task panicked: {msg}");
         }
     }
 
@@ -625,6 +624,23 @@ mod tests {
             Err(crate::error::Error::TaskPanicked(m)) => assert!(m.contains("boom")),
             other => panic!("expected TaskPanicked, got {other:?}"),
         }
+        rt.shutdown();
+    }
+
+    #[test]
+    fn raw_task_panic_is_counted_and_traced() {
+        use crate::introspect::{CounterPath, Instance};
+        let rt = Runtime::builder().worker_threads(1).build();
+        rt.tracer().start();
+        rt.spawn(|| panic!("boom"));
+        rt.spawn(|| {});
+        rt.wait_idle();
+        let trace = rt.tracer().stop();
+        assert_eq!(trace.of_kind(EventKind::User("task-panicked")).count(), 1);
+        let path = |name| CounterPath::new("threads", 0, Instance::Total, name);
+        let snap = rt.counter_snapshot();
+        assert_eq!(snap.get(&path("count/panicked")), Some(1));
+        assert_eq!(snap.get(&path("count/cumulative")), Some(1));
         rt.shutdown();
     }
 

@@ -15,6 +15,9 @@
 //! ("the network latencies are aptly hidden", Section VII-A). Run the
 //! cluster with a `parallex-netsim` delay function to execute against a
 //! modeled interconnect.
+//!
+//! The solver drives the localities its cluster hosts: all of them, or
+//! one rank per process of a multi-process run (see [`Cluster`]).
 
 use crate::halo::HaloMailbox;
 use parallex::agas::Gid;
@@ -24,6 +27,7 @@ use parallex::lcos::future::{when_all, Future};
 use parallex::locality::{Cluster, Locality};
 use parallex::parcel::serialize;
 use parallex::parcel::ActionId;
+use parallex::resilience::{replay_sync, retry};
 use std::sync::Arc;
 
 /// Action id of the halo-push active message.
@@ -147,7 +151,7 @@ impl Heat1dSolver {
     }
 
     /// Aggregate `(already_arrived, had_to_wait)` halo-take statistics
-    /// over all localities (see [`HaloStore::take_stats`]).
+    /// over the hosted localities (see [`HaloStore::take_stats`]).
     pub fn halo_stats(&self) -> (usize, usize) {
         self.store_gids
             .iter()
@@ -165,13 +169,23 @@ impl Heat1dSolver {
         parallex::topology::block_ranges(self.params.total_points, self.cluster.len())[i].clone()
     }
 
-    /// Run to completion and gather the final temperature field.
+    /// GID of locality `i`'s halo store, hosted or not.
+    pub fn store_gid(&self, i: usize) -> Gid {
+        self.store_gids[i]
+    }
+
+    /// Run to completion on the hosted localities and gather their blocks
+    /// of the final temperature field in rank order: the whole field when
+    /// the cluster hosts every rank.
     pub fn run(&self, init: impl Fn(usize) -> f64 + Send + Sync + 'static) -> Vec<f64> {
         let init = Arc::new(init);
         let n_loc = self.cluster.len();
-        let drivers: Vec<Future<Vec<f64>>> = (0..n_loc)
-            .map(|i| {
-                let loc = self.cluster.locality(i);
+        let drivers: Vec<Future<Vec<f64>>> = self
+            .cluster
+            .localities()
+            .iter()
+            .map(|loc| {
+                let i = loc.id() as usize;
                 let params = self.params;
                 let range = self.block_range(i);
                 let init = init.clone();
@@ -209,6 +223,7 @@ fn drive_partition(
         .expect("halo store exists");
     let rt = loc.runtime().clone();
     let r = params.r;
+    let panic_steps = loc.injected_panic_steps(params.steps as u64);
     // u[1..=n] are this block's cells; u[0] / u[n+1] are halo slots.
     let mut u: Vec<f64> = std::iter::once(0.0)
         .chain(range.clone().map(init))
@@ -220,13 +235,13 @@ fn drive_partition(
         // (1) Ship boundary cells to the neighbours; their parcels travel
         // while we compute the interior.
         if let Some(lg) = left_gid {
-            parallex::resilience::retry(HALO_SEND_ATTEMPTS, HALO_SEND_BACKOFF, || {
+            retry(HALO_SEND_ATTEMPTS, HALO_SEND_BACKOFF, || {
                 loc.apply(lg, HALO_PUSH, &(Side::Right, t, u[1]))
             })
             .expect("halo parcel to left neighbour");
         }
         if let Some(rg) = right_gid {
-            parallex::resilience::retry(HALO_SEND_ATTEMPTS, HALO_SEND_BACKOFF, || {
+            retry(HALO_SEND_ATTEMPTS, HALO_SEND_BACKOFF, || {
                 loc.apply(rg, HALO_PUSH, &(Side::Left, t, u[n]))
             })
             .expect("halo parcel to right neighbour");
@@ -234,20 +249,33 @@ fn drive_partition(
         // (2) Interior update (cells 2..=n-1) in parallel on this
         // locality's workers — the Listing 1 `for_each`. Small blocks run
         // serially (chunk-task overhead would dominate); both paths
-        // compute identical values in identical order.
-        if n > 2 {
-            let u2 = &u;
-            if n > 4096 {
-                par(&rt).for_each_mut(&mut next[2..n], |k, out| {
-                    let x = k + 2;
-                    *out = u2[x] + r * (u2[x - 1] - 2.0 * u2[x] + u2[x + 1]);
-                });
-            } else {
-                for x in 2..n {
-                    next[x] = u2[x] + r * (u2[x - 1] - 2.0 * u2[x] + u2[x + 1]);
+        // compute identical values in identical order. On a chaos stack
+        // the scheduled steps fail their first attempt with a task panic;
+        // the update is pure in `u`, so the replay recomputes the exact
+        // values.
+        let mut attempt = 0;
+        replay_sync(3, || {
+            attempt += 1;
+            if attempt == 1 && panic_steps.contains(&t) {
+                loc.count_injected_panic();
+                // Unwind without the panic hook: no message, no backtrace.
+                std::panic::resume_unwind(Box::new(format!("injected task panic at step {t}")));
+            }
+            if n > 2 {
+                let u2 = &u;
+                if n > 4096 {
+                    par(&rt).for_each_mut(&mut next[2..n], |k, out| {
+                        let x = k + 2;
+                        *out = u2[x] + r * (u2[x - 1] - 2.0 * u2[x] + u2[x + 1]);
+                    });
+                } else {
+                    for x in 2..n {
+                        next[x] = u2[x] + r * (u2[x - 1] - 2.0 * u2[x] + u2[x + 1]);
+                    }
                 }
             }
-        }
+        })
+        .unwrap_or_else(|e| panic!("step {t} interior update failed every replay: {e}"));
         // (3) Resolve halos (futures — possibly already buffered) and
         // finish the edge cells. The wait is recorded as a halo-exchange
         // span whose arg packs the step and which sides actually blocked
@@ -398,10 +426,11 @@ mod tests {
     #[test]
     fn chaos_run_is_bitwise_identical_to_fault_free_run() {
         // The tentpole proof at unit scale: the same solve over a
-        // transport injecting drops, dups, delays and bit-corruption
-        // must produce the exact bits of the fault-free run — the
-        // reliability layer heals every fault before it reaches the
-        // numerics.
+        // transport injecting drops, dups, delays and bit-corruption,
+        // with two steps per locality failing in a task panic, must
+        // produce the exact bits of the fault-free run — the reliability
+        // layer heals every transport fault before it reaches the
+        // numerics, and the step replay every panic.
         let params = Heat1dParams::new(64, 25, 0.25);
         let run = |cluster: Cluster| -> Vec<f64> {
             install(&cluster);
@@ -412,7 +441,7 @@ mod tests {
         };
         let fault_free = run(Cluster::new_tcp(3, 2));
         let chaos = parallex::resilience::ChaosSpec::parse(
-            "seed=1337,drop=5%,dup=2%,corrupt=1%,delay=2ms",
+            "seed=1337,drop=5%,dup=2%,corrupt=1%,delay=2ms,panics=2",
         )
         .unwrap();
         let chaotic = run(Cluster::new_resilient(3, 2, Some(chaos)));

@@ -1,11 +1,17 @@
 //! Integration tests of the TCP parcelport stack: wire-format
-//! properties and end-to-end conservation over real loopback sockets.
+//! properties, end-to-end conservation over real loopback sockets, and
+//! the distributed solve across clusters that each host one rank.
 
 use parallex::agas::Gid;
+use parallex::introspect::counters::{CounterPath, Instance};
+use parallex::introspect::CounterSnapshot;
 use parallex::locality::Cluster;
 use parallex::parcel::frame::{self, DecodeError};
 use parallex::parcel::serialize;
+use parallex::parcel::stack::Stack;
 use parallex::parcel::Parcel;
+use parallex::resilience::ChaosSpec;
+use parallex_stencil::heat1d::{install, Heat1dParams, Heat1dSolver};
 use proptest::prelude::*;
 
 fn mk_parcel(
@@ -216,7 +222,6 @@ fn tcp_cluster_conserves_parcels_under_load() {
 
 #[test]
 fn corrupt_stream_is_counted_on_the_cluster_registry() {
-    use parallex::introspect::counters::{CounterPath, Instance};
     use std::io::Write;
     let cluster = Cluster::new_tcp(2, 1);
     let endpoint = cluster
@@ -255,4 +260,155 @@ fn corrupt_stream_is_counted_on_the_cluster_registry() {
         .sum();
     assert_eq!(drops, 1, "only the corrupted stream is dropped");
     cluster.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// one rank per cluster: the multi-process shape inside one test process
+// ---------------------------------------------------------------------------
+
+fn bump(i: usize) -> f64 {
+    if (20..30).contains(&i) {
+        1.0
+    } else {
+        0.0
+    }
+}
+
+/// The solve of `repro heat1d-net`, run SPMD on three clusters that each
+/// host one rank over `stack` and connect over loopback. Checks that the
+/// clusters agree on every system and halo-store GID, and returns the
+/// assembled field and the merged counter snapshot.
+fn heat1d_one_rank_per_cluster(stack: &Stack) -> (Vec<f64>, CounterSnapshot) {
+    const RANKS: usize = 3;
+    let clusters: Vec<Cluster> = (0..RANKS)
+        .map(|r| Cluster::host(RANKS, r..r + 1, 2, stack).expect("host one rank"))
+        .collect();
+    let endpoints: Vec<std::net::SocketAddr> = clusters
+        .iter()
+        .enumerate()
+        .map(|(r, c)| c.locality(r).endpoint().expect("a stack listens"))
+        .collect();
+    let solvers: Vec<Heat1dSolver> = clusters
+        .iter()
+        .map(|c| {
+            c.connect(&endpoints).expect("connect the mesh");
+            install(c);
+            Heat1dSolver::new(c, Heat1dParams::new(96, 40, 0.25))
+        })
+        .collect();
+    for (c, s) in clusters.iter().zip(&solvers) {
+        for i in 0..RANKS {
+            assert_eq!(c.system_gid(i), clusters[0].system_gid(i), "system GID of {i}");
+            assert_eq!(s.store_gid(i), solvers[0].store_gid(i), "halo-store GID of {i}");
+        }
+    }
+    let blocks: Vec<Vec<f64>> = std::thread::scope(|scope| {
+        let runs: Vec<_> = solvers
+            .iter()
+            .map(|s| scope.spawn(move || s.run(bump)))
+            .collect();
+        runs.into_iter()
+            .map(|h| h.join().expect("rank solve"))
+            .collect()
+    });
+    let snapshots: Vec<CounterSnapshot> = clusters
+        .iter()
+        .map(|c| {
+            c.wait_idle();
+            c.counter_snapshot()
+        })
+        .collect();
+    for c in &clusters {
+        c.shutdown();
+    }
+    (blocks.concat(), CounterSnapshot::merge(snapshots))
+}
+
+#[test]
+fn clusters_hosting_one_rank_each_solve_bitwise_like_one_cluster() {
+    let reference = Cluster::new(3, 2);
+    install(&reference);
+    let want = Heat1dSolver::new(&reference, Heat1dParams::new(96, 40, 0.25)).run(bump);
+    reference.shutdown();
+    let injected_panics = |snap: &CounterSnapshot| -> u64 {
+        snap.iter()
+            .filter(|(p, _)| p.object == "chaos" && p.name == "count/injected-panics")
+            .map(|(_, v)| v)
+            .sum()
+    };
+    let (raw, snap) = heat1d_one_rank_per_cluster(&Stack::Tcp);
+    assert_eq!(raw, want, "TCP ranks diverged from the in-process cluster");
+    assert_eq!(injected_panics(&snap), 0);
+    let (chaos, snap) = heat1d_one_rank_per_cluster(&Stack::Chaos(ChaosSpec::pinned()));
+    assert_eq!(chaos, want, "chaos ranks diverged from the in-process cluster");
+    assert_eq!(injected_panics(&snap), 3, "one injected panic per rank");
+}
+
+#[test]
+fn wait_idle_on_a_cluster_hosting_some_ranks_skips_the_peers_ledgers() {
+    // Rank 0 sends rank 1 one parcel. Rank 0's own ledger never balances
+    // (one sent, none delivered to it), so its wait_idle must not wait on it.
+    let clusters: Vec<Cluster> = (0..2)
+        .map(|r| Cluster::host(2, r..r + 1, 1, &Stack::Tcp).expect("host one rank"))
+        .collect();
+    let endpoints: Vec<std::net::SocketAddr> = clusters
+        .iter()
+        .enumerate()
+        .map(|(r, c)| c.locality(r).endpoint().expect("a stack listens"))
+        .collect();
+    for c in &clusters {
+        c.connect(&endpoints).expect("connect the mesh");
+        c.register_action(ECHO, "net::echo", |_, _, _| Ok(Vec::new()));
+    }
+    let gid = clusters[0].system_gid(1);
+    clusters[0].locality(0).apply(gid, ECHO, &0u64).expect("send");
+    let (done, idle) = std::sync::mpsc::channel();
+    let rank0 = clusters[0].clone();
+    let waiter = std::thread::spawn(move || {
+        rank0.wait_idle();
+        done.send(()).expect("report idle");
+    });
+    idle.recv_timeout(std::time::Duration::from_secs(10))
+        .expect("wait_idle returned");
+    waiter.join().expect("waiter thread");
+    let received = CounterPath::new("parcels", 1, Instance::Total, "count/received");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while clusters[1].counter_snapshot().get(&received) != Some(1) {
+        assert!(std::time::Instant::now() < deadline, "rank 1 never got the parcel");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    for c in &clusters {
+        c.shutdown();
+    }
+}
+
+#[test]
+fn repro_heat1d_net_is_bitwise_across_processes_raw_and_under_chaos() {
+    // The multi-process proof itself: three worker processes, each
+    // hosting one rank and running the solver, against the in-process
+    // cluster.
+    let out = std::env::temp_dir().join(format!("parallex-heat1d-net-{}", std::process::id()));
+    let repro = |chaos: bool| {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_repro"));
+        cmd.arg("--out").arg(&out);
+        if chaos {
+            cmd.arg("--chaos");
+        }
+        let run = cmd.arg("heat1d-net").output().expect("run repro");
+        assert!(
+            run.status.success(),
+            "repro heat1d-net (chaos: {chaos}) exited with {}: {}",
+            run.status,
+            String::from_utf8_lossy(&run.stderr)
+        );
+    };
+    let read = |name: &str| std::fs::read_to_string(out.join(name)).expect("bench file written");
+    repro(false);
+    let net = read("BENCH_net.json");
+    assert!(net.contains("\"max_abs_diff\": 0e0"), "{net}");
+    repro(true);
+    let resilience = read("BENCH_resilience.json");
+    assert!(resilience.contains("\"bitwise_identical\": true"), "{resilience}");
+    assert!(resilience.contains("\"task_panics\": 3"), "{resilience}");
+    let _ = std::fs::remove_dir_all(&out);
 }

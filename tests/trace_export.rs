@@ -33,6 +33,9 @@ fn traced_heat1d() -> (
     let init = |i: usize| if i < N / 2 { 1.0 } else { 0.0 };
     let result = solver.run(init);
     let traces = cluster.stop_trace();
+    // A task's completion is counted after its body returns, so the solve
+    // can finish before its last tasks are; the identities hold at idle.
+    cluster.wait_idle();
     let delta = cluster.counter_snapshot().delta(&before);
     cluster.shutdown();
     let reference = heat1d_reference(N, STEPS, 0.25, 0.0, 0.0, init);
