@@ -101,7 +101,7 @@ pub fn run_worker(args: &[String]) {
         s => Stack::Chaos(ChaosSpec::parse(s).expect("chaos spec")),
     };
 
-    // The action and the halo stores exist before this rank says HELLO,
+    // The action and the halo mailboxes exist before this rank says HELLO,
     // so no peer can connect, let alone send a halo, before they do.
     let cluster =
         Cluster::host(ranks, rank..rank + 1, THREADS, &stack).expect("host this rank");

@@ -25,7 +25,7 @@
 //! * [`analyze`](fn@analyze) — the latency-attribution engine: turns a
 //!   recorded [`Trace`] into a per-worker time breakdown (compute /
 //!   exposed wait / hidden wait / steal / park / idle, conserving wall
-//!   time) and a cross-lane critical path ([`analyze`]);
+//!   time) and a cross-lane critical path ([`analyze()`]);
 //! * [`LatencyHistogram`] / [`LatencySet`] — mergeable log-bucketed
 //!   latency histograms (HdrHistogram-style) recorded lock-free per
 //!   worker for task / steal / future-wait / parcel-RTT latencies, with

@@ -79,6 +79,10 @@ pub struct Locality {
     /// `count/dropped/unknown-locality`: parcels addressed to a locality
     /// the cluster does not have.
     dropped_unknown_locality: Arc<AtomicU64>,
+    /// `count/dropped/handler-failed`: fire-and-forget parcels whose
+    /// action is unregistered, whose component is missing or whose
+    /// handler failed or panicked, with no caller to tell.
+    dropped_handler_failed: Arc<AtomicU64>,
 }
 
 /// Record a parcel event on the calling thread's lane of `rt`'s tracer
@@ -428,6 +432,10 @@ impl ClusterShared {
                     .fetch_add(1, Ordering::Relaxed);
                 trace_parcel(&dest.runtime, EventKind::ParcelSend, RESPONSE_ACTION);
                 ClusterShared::send(self, response);
+            } else if outcome.is_err() {
+                // Fire-and-forget: nobody to tell, so count the drop.
+                dest.dropped_handler_failed.fetch_add(1, Ordering::Relaxed);
+                trace_parcel(&dest.runtime, EventKind::User("parcel-dropped"), action);
             }
         }
         if let Some(t0) = recv_start {
@@ -546,6 +554,7 @@ impl Cluster {
                     injected_panics: Arc::new(AtomicU64::new(0)),
                     dropped_send_failed: Arc::new(AtomicU64::new(0)),
                     dropped_unknown_locality: Arc::new(AtomicU64::new(0)),
+                    dropped_handler_failed: Arc::new(AtomicU64::new(0)),
                 })
             })
             .collect();
@@ -574,6 +583,10 @@ impl Cluster {
                     "parcels",
                     "count/dropped/unknown-locality",
                     &loc.dropped_unknown_locality,
+                ),                (
+                    "parcels",
+                    "count/dropped/handler-failed",
+                    &loc.dropped_handler_failed,
                 ),
             ];
             if loc.chaos.is_some() {
@@ -911,7 +924,7 @@ impl Cluster {
     /// Stop tracing on the hosted localities and return `(locality id,
     /// trace)` pairs, ready for [`crate::introspect::chrome_trace_json`]
     /// (which aligns the per-runtime epochs onto one timeline) or
-    /// [`crate::introspect::analyze`].
+    /// [`crate::introspect::analyze()`].
     pub fn stop_trace(&self) -> Vec<(u32, Trace)> {
         self.shared
             .localities
@@ -1535,6 +1548,25 @@ mod tests {
     }
 
     #[test]
+    fn response_less_handler_failures_are_counted() {
+        let c = cluster();
+        c.start_trace();
+        // No action is registered under this id, and nobody waits on an
+        // apply: the destination counts the drop.
+        c.locality(0).apply(c.system_gid(1), 0x7E57, &()).unwrap();
+        c.wait_idle();
+        let path = CounterPath::new("parcels", 1, Instance::Total, "count/dropped/handler-failed");
+        assert_eq!(c.counter_snapshot().get(&path), Some(1));
+        let dropped: usize = c
+            .stop_trace()
+            .iter()
+            .map(|(_, t)| t.of_kind(EventKind::User("parcel-dropped")).count())
+            .sum();
+        assert_eq!(dropped, 1, "a dropped parcel leaves a trace instant");
+        c.shutdown();
+    }
+
+    #[test]
     fn transport_counter_paths_are_pinned() {
         // perfbench's ledger and the Prometheus endpoint read these paths
         // by name: no layer may rename or drop one silently.
@@ -1564,6 +1596,7 @@ mod tests {
             // cluster
             ("parcels", "count/dropped/send-failed"),
             ("parcels", "count/dropped/unknown-locality"),
+            ("parcels", "count/dropped/handler-failed"),
             // TCP layer
             ("parcels", "bytes/sent"),
             ("parcels", "bytes/received"),

@@ -148,9 +148,8 @@ pub type PortSink = Arc<dyn Fn(PortEvent) + Send + Sync>;
 /// handed straight to the destination's delivery path.
 pub trait Parcelport: Send + Sync {
     /// Queue `parcel` for delivery to `parcel.dest_locality`. May block
-    /// briefly for backpressure; fails with
-    /// [`Error::PeerLost`](crate::error::Error::PeerLost) once the peer
-    /// is unreachable.
+    /// briefly for backpressure; fails with [`Error::PeerLost`] once the
+    /// peer is unreachable.
     fn send(&self, parcel: Parcel) -> Result<()>;
 
     /// Parcels accepted by [`Parcelport::send`] but not yet handed to the

@@ -1,5 +1,7 @@
-//! Deterministic fault injection: seeded chaos plans, a faulty
-//! parcelport decorator, and a runtime-level task fault injector.
+//! Deterministic fault injection: seeded chaos plans and a faulty
+//! parcelport decorator. Task panics are scheduled by
+//! [`FaultPlan::panic_steps`] and raised by the distributed stencil
+//! solvers' step replay, the one task-fault path.
 //!
 //! Everything here is driven by a [`FaultPlan`]: a pure function from
 //! `(seed, stream, event index)` to a fault decision. Two plans built
@@ -11,7 +13,6 @@ use crate::error::{Error, Result};
 use crate::introspect::CounterRegistry;
 use crate::parcel::{Parcel, Parcelport, TimerWheel};
 use bytes::Bytes;
-use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -58,8 +59,9 @@ impl SplitMix64 {
 ///   one, this is also the reordering knob
 /// - `delayp=<p>%`  — probability a parcel is delayed (defaults to 10%
 ///   when `delay` is set, 0 otherwise)
-/// - `panics=<n>`   — task panics to inject per locality: a solver on a
-///   chaos stack fails the first attempt of the [`FaultPlan::panic_steps`]
+/// - `panics=<n>`   — task panics to inject per locality: either
+///   distributed stencil solver (1D heat or 2D Jacobi) on a chaos stack
+///   fails the first attempt of the [`FaultPlan::panic_steps`]
 ///   steps of its locality
 ///   ([`Locality::injected_panic_steps`](crate::locality::Locality::injected_panic_steps))
 #[derive(Clone, Debug, PartialEq)]
@@ -76,7 +78,7 @@ pub struct ChaosSpec {
     pub delay: Duration,
     /// Probability a parcel is delayed by `delay`.
     pub delay_p: f64,
-    /// Task panics a solver injects per locality.
+    /// Task panics a distributed stencil solver injects per locality.
     pub panics: u32,
 }
 
@@ -430,82 +432,6 @@ impl Parcelport for FaultyParcelport {
     }
 }
 
-/// What the runtime-level injector decided for one task execution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TaskFate {
-    /// Run normally.
-    Run,
-    /// Panic before the task body runs.
-    Panic,
-    /// Sleep this long, then run.
-    Stall(Duration),
-}
-
-/// Runtime-level fault injector: makes chosen task executions panic or
-/// stall. Installed via `Runtime::set_fault_injector`; always compiled
-/// in (cfg-free) — the hot-path cost when absent is one relaxed load.
-///
-/// Note a panic injected here fires *outside* an `async_task`'s promise
-/// wrapper, so the task's future fails with
-/// [`Error::BrokenPromise`] rather than `TaskPanicked`; the replay
-/// combinators treat both as retryable.
-#[derive(Debug)]
-pub struct FaultInjector {
-    panic_at: Mutex<BTreeSet<u64>>,
-    stall_p: f64,
-    stall: Duration,
-    seed: u64,
-    counter: AtomicU64,
-    injected_panics: AtomicU64,
-    injected_stalls: AtomicU64,
-}
-
-impl FaultInjector {
-    /// Injector that panics the given task indices (in runtime execution
-    /// order) and stalls each task with probability `stall_p` for
-    /// `stall`.
-    pub fn new(seed: u64, panic_tasks: &[u64], stall_p: f64, stall: Duration) -> FaultInjector {
-        assert!((0.0..=1.0).contains(&stall_p), "stall probability out of [0,1]");
-        FaultInjector {
-            panic_at: Mutex::new(panic_tasks.iter().copied().collect()),
-            stall_p,
-            stall,
-            seed,
-            counter: AtomicU64::new(0),
-            injected_panics: AtomicU64::new(0),
-            injected_stalls: AtomicU64::new(0),
-        }
-    }
-
-    /// Decide the fate of the next task execution.
-    pub fn next_fate(&self) -> TaskFate {
-        let idx = self.counter.fetch_add(1, Ordering::Relaxed);
-        if self.panic_at.lock().remove(&idx) {
-            self.injected_panics.fetch_add(1, Ordering::Relaxed);
-            return TaskFate::Panic;
-        }
-        if self.stall_p > 0.0 {
-            let mut rng =
-                SplitMix64::new(self.seed.wrapping_add(idx.wrapping_mul(0xA076_1D64_78BD_642F)));
-            if rng.next_f64() < self.stall_p {
-                self.injected_stalls.fetch_add(1, Ordering::Relaxed);
-                return TaskFate::Stall(self.stall);
-            }
-        }
-        TaskFate::Run
-    }
-
-    /// Panics injected so far.
-    pub fn injected_panics(&self) -> u64 {
-        self.injected_panics.load(Ordering::Relaxed)
-    }
-
-    /// Stalls injected so far.
-    pub fn injected_stalls(&self) -> u64 {
-        self.injected_stalls.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,16 +493,5 @@ mod tests {
         assert_eq!(a.len(), 3);
         assert!(a.iter().all(|&s| s < 40));
         assert_eq!(a, FaultPlan::new(spec).panic_steps(40));
-    }
-
-    #[test]
-    fn injector_panics_exactly_at_requested_indices() {
-        let inj = FaultInjector::new(1, &[2], 0.0, Duration::ZERO);
-        let fates: Vec<TaskFate> = (0..5).map(|_| inj.next_fate()).collect();
-        assert_eq!(
-            fates,
-            vec![TaskFate::Run, TaskFate::Run, TaskFate::Panic, TaskFate::Run, TaskFate::Run]
-        );
-        assert_eq!(inj.injected_panics(), 1);
     }
 }

@@ -8,9 +8,9 @@
 //!
 //! * **Fault injection** ([`fault`]): a seeded, replayable [`FaultPlan`]
 //!   drives the [`FaultyParcelport`] decorator (drop / duplicate /
-//!   delay-reorder / bit-corrupt / crash / hang) and the runtime-level
-//!   [`FaultInjector`] (task panics and stalls). Determinism is the
-//!   point: any chaos failure replays from its seed.
+//!   delay-reorder / bit-corrupt / crash / hang) and schedules the task
+//!   panics a solver's step replay injects ([`FaultPlan::panic_steps`]).
+//!   Determinism is the point: any chaos failure replays from its seed.
 //! * **Reliable delivery** ([`reliable`]): per-peer sequence numbers,
 //!   ack/retransmit, receive-side dedup and an end-to-end payload
 //!   checksum turn an unreliable transport into at-least-once delivery
@@ -24,7 +24,7 @@ pub mod heartbeat;
 pub mod reliable;
 pub mod replay;
 
-pub use fault::{ChaosSpec, FaultInjector, FaultPlan, FaultyParcelport, SendFate, SplitMix64, TaskFate};
+pub use fault::{ChaosSpec, FaultPlan, FaultyParcelport, SendFate, SplitMix64};
 pub use heartbeat::{HeartbeatConfig, PeerHealth, PeerState, HEARTBEAT_ACTION};
 pub use reliable::{ReliableConfig, ReliableParcelport, RELIABLE_ACK, RELIABLE_DATA};
 pub use replay::{async_replay, async_replicate, async_replicate_vote, replay_sync, retry};

@@ -18,10 +18,10 @@ use crate::perf::{Counters, WorkerStat};
 use crate::sched::{Scheduler, SchedulerPolicy};
 use crate::task::{Priority, ScheduleHint, Task};
 use crate::topology::Topology;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -53,11 +53,6 @@ pub(crate) struct Core {
     /// Always-on per-worker latency histograms (task, steal,
     /// future-wait, parcel-RTT), shared with the scheduler and cluster.
     pub(crate) latency: Arc<LatencySet>,
-    /// Chaos hook: when installed, every task execution asks the
-    /// injector for a fate (run / panic / stall). Always compiled in;
-    /// the flag keeps the uninstalled hot path to one relaxed load.
-    fault: RwLock<Option<Arc<crate::resilience::FaultInjector>>>,
-    fault_enabled: AtomicBool,
 }
 
 impl Core {
@@ -66,26 +61,8 @@ impl Core {
     /// worker; value-returning tasks route panics through their
     /// promise instead (see [`Runtime::async_task`]).
     pub(crate) fn run_task(&self, task: Task, worker: usize) {
-        let fate = if self.fault_enabled.load(Ordering::Relaxed) {
-            self.fault
-                .read()
-                .as_ref()
-                .map_or(crate::resilience::TaskFate::Run, |inj| inj.next_fate())
-        } else {
-            crate::resilience::TaskFate::Run
-        };
         let start = std::time::Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            match fate {
-                crate::resilience::TaskFate::Run => {}
-                crate::resilience::TaskFate::Stall(d) => std::thread::sleep(d),
-                // Fires outside the task's own promise wrapper: an
-                // `async_task` future observes `BrokenPromise`, which the
-                // replay combinators treat as retryable.
-                crate::resilience::TaskFate::Panic => panic!("injected fault: task panic"),
-            }
-            task.run()
-        }));
+        let result = catch_unwind(AssertUnwindSafe(|| task.run()));
         let end = std::time::Instant::now();
         self.tracer.span(worker, EventKind::TaskRun, start, end, 0);
         self.latency.record(
@@ -286,8 +263,6 @@ impl RuntimeBuilder {
             worker_stats: (0..workers).map(|_| WorkerStat::default()).collect(),
             tracer: tracer.clone(),
             latency: latency.clone(),
-            fault: RwLock::new(None),
-            fault_enabled: AtomicBool::new(false),
         });
         core.sched.attach_tracer(tracer);
         core.sched.attach_latency(latency);
@@ -569,16 +544,6 @@ impl Runtime {
     /// runtime's workers.
     pub fn current_worker(&self) -> Option<usize> {
         current_worker_on(&self.inner.core).map(|c| c.index)
-    }
-
-    /// Install (or with `None`, remove) a chaos
-    /// [`crate::resilience::FaultInjector`]: every subsequent task
-    /// execution asks it whether to run, panic or stall. Cfg-free — the
-    /// cost when uninstalled is one relaxed atomic load per task.
-    pub fn set_fault_injector(&self, inj: Option<Arc<crate::resilience::FaultInjector>>) {
-        let enabled = inj.is_some();
-        *self.inner.core.fault.write() = inj;
-        self.inner.core.fault_enabled.store(enabled, Ordering::Release);
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! This is the canonical ParalleX stencil structure from Heller, Kaiser &
 //! Iglberger, "Application of the ParalleX execution model to stencil-based
-//! problems" (the paper's reference [9], and HPX's `1d_stencil_4`
+//! problems" (the paper's reference \[9\], and HPX's `1d_stencil_4`
 //! example): the domain is split into partitions, each time-step/partition
 //! value is a *future*, and partition `i` at step `t+1` is a
 //! `dataflow(update, left[t], middle[t], right[t])`. No loop-level

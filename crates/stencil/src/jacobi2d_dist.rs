@@ -5,30 +5,26 @@
 //! distributed 2D Jacobi with halo-row parcels and compute/communication
 //! overlap — is the natural next step its conclusion points toward, and
 //! exercises every subsystem at once: AGAS components, parcels carrying
-//! `Vec<f64>` payloads, halo mailboxes, per-locality parallel `for_each`,
-//! and the same latency-hiding structure as the 1D solver:
+//! `Vec<f64>` payloads, halo mailboxes and per-locality parallel
+//! `for_each`. Each step runs the halo exchange of [`crate::halo`], the
+//! one the 1D solver runs, with rows for cells: a block's top row is its
+//! [`Side::Left`] edge and its bottom row its [`Side::Right`] edge.
 //!
 //! 1. send this block's top and bottom interior rows (step `t`),
 //! 2. compute the block's interior rows (independent of halo rows),
 //! 3. await the neighbour rows, finish the two edge rows, swap.
 
 use crate::grid::ScalarGrid;
-use crate::halo::HaloMailbox;
+use crate::halo::{self, HaloBlock, HaloDriver, Side};
 use crate::jacobi2d::jacobi_step_scalar_edges;
 use parallex::agas::Gid;
-use parallex::algorithms::par;
-use parallex::lcos::future::{when_all, Future};
-use parallex::locality::{Cluster, Locality};
-use parallex::parcel::{serialize, ActionId};
-use std::sync::Arc;
+use parallex::algorithms::{par, seq};
+use parallex::locality::Cluster;
+use parallex::parcel::ActionId;
+use parallex::runtime::Runtime;
 
 /// Action id of the halo-row push message.
 pub const ROW_PUSH: ActionId = 0x4A32; // "J2"
-
-/// Mailbox tag: the incoming row is the receiver's *top* halo.
-pub const TAG_TOP: u8 = 0;
-/// Mailbox tag: the incoming row is the receiver's *bottom* halo.
-pub const TAG_BOTTOM: u8 = 1;
 
 /// Parameters of a distributed 2D Jacobi run.
 #[derive(Clone, Copy, Debug)]
@@ -54,132 +50,88 @@ impl Jacobi2dDistParams {
     }
 }
 
-/// Install the halo-row action on a cluster (once, before solvers).
+/// Install the halo-row action on a cluster (once, before solvers). Its
+/// payload is `(Side, step, row)`.
 pub fn install(cluster: &Cluster) {
-    cluster.register_action(ROW_PUSH, "jacobi2d::row_push", |loc, gid, payload| {
-        let (tag, step, row): (u8, u64, Vec<f64>) = serialize::from_bytes(payload)?;
-        let mailbox = loc.components().get::<HaloMailbox<Vec<f64>>>(gid)?;
-        mailbox.put(tag, step, row);
-        Ok(Vec::new())
-    });
+    halo::install::<Vec<f64>>(cluster, ROW_PUSH, "jacobi2d::row_push");
 }
 
 /// The distributed solver: owns per-locality row mailboxes.
 pub struct Jacobi2dDist {
-    cluster: Cluster,
     params: Jacobi2dDistParams,
-    mailbox_gids: Vec<Gid>,
+    halo: HaloDriver<Vec<f64>>,
 }
 
 impl Jacobi2dDist {
     /// Create solver state on a cluster where [`install`] was called.
+    ///
+    /// # Panics
+    /// Panics if the cluster has more ranks than the grid has rows.
     pub fn new(cluster: &Cluster, params: Jacobi2dDistParams) -> Jacobi2dDist {
-        let mailbox_gids = (0..cluster.len())
-            .map(|i| cluster.new_component(i, HaloMailbox::<Vec<f64>>::new()))
-            .collect();
-        Jacobi2dDist { cluster: cluster.clone(), params, mailbox_gids }
+        let row = vec![params.boundary; params.nx];
+        let halo = HaloDriver::new(cluster, ROW_PUSH, params.ny, params.steps, (row.clone(), row));
+        Jacobi2dDist { params, halo }
     }
 
-    /// Row range of locality `i`.
-    pub fn row_range(&self, i: usize) -> std::ops::Range<usize> {
-        parallex::topology::block_ranges(self.params.ny, self.cluster.len())[i].clone()
-    }
-
-    /// Aggregate `(already_arrived, had_to_wait)` halo statistics.
+    /// Aggregate `(already_arrived, had_to_wait)` halo statistics over
+    /// the hosted localities (see [`HaloDriver::halo_stats`]).
     pub fn halo_stats(&self) -> (usize, usize) {
-        self.mailbox_gids
-            .iter()
-            .map(|&gid| {
-                self.cluster
-                    .get_component::<HaloMailbox<Vec<f64>>>(gid)
-                    .map(|m| m.take_stats())
-                    .unwrap_or((0, 0))
-            })
-            .fold((0, 0), |(a, b), (c, d)| (a + c, b + d))
+        self.halo.halo_stats()
     }
 
-    /// Run to completion; returns the global grid row-major (`ny * nx`).
+    /// GID of locality `i`'s row mailbox, hosted or not.
+    pub fn store_gid(&self, i: usize) -> Gid {
+        self.halo.mailbox_gid(i)
+    }
+
+    /// Run to completion on the hosted localities and gather their row
+    /// blocks in rank order, row-major: the whole `ny * nx` grid when the
+    /// cluster hosts every rank.
     pub fn run(&self, init: impl Fn(usize, usize) -> f64 + Send + Sync + 'static) -> Vec<f64> {
-        let init = Arc::new(init);
-        let n_loc = self.cluster.len();
-        let drivers: Vec<Future<Vec<f64>>> = (0..n_loc)
-            .map(|i| {
-                let loc = self.cluster.locality(i);
-                let params = self.params;
-                let rows = self.row_range(i);
-                let init = init.clone();
-                let my_gid = self.mailbox_gids[i];
-                let up_gid = (i > 0).then(|| self.mailbox_gids[i - 1]);
-                let down_gid = (i + 1 < n_loc).then(|| self.mailbox_gids[i + 1]);
-                let loc2 = loc.clone();
-                loc.runtime().async_task(move || {
-                    drive_block(&loc2, params, rows, &*init, my_gid, up_gid, down_gid)
-                })
-            })
-            .collect();
-        when_all(drivers).get().into_iter().flatten().collect()
+        let Jacobi2dDistParams { nx, boundary, .. } = self.params;
+        self.halo.run(move |rows| {
+            let (y0, block_ny) = (rows.start, rows.len());
+            let mut cur = ScalarGrid::from_fn(nx, block_ny, |x, y| init(x, y0 + y));
+            cur.set_boundary(boundary);
+            let mut next = ScalarGrid::zeros(nx, block_ny);
+            next.set_boundary(boundary);
+            Rows { cur, next }
+        })
     }
 }
 
-fn drive_block(
-    loc: &Arc<Locality>,
-    params: Jacobi2dDistParams,
-    rows: std::ops::Range<usize>,
-    init: &(dyn Fn(usize, usize) -> f64 + Send + Sync),
-    my_gid: Gid,
-    up_gid: Option<Gid>,
-    down_gid: Option<Gid>,
-) -> Vec<f64> {
-    let block_ny = rows.len();
-    if block_ny == 0 {
-        return Vec::new();
-    }
-    let nx = params.nx;
-    let mailbox = loc
-        .components()
-        .get::<HaloMailbox<Vec<f64>>>(my_gid)
-        .expect("mailbox exists");
-    let rt = loc.runtime().clone();
-    let y0 = rows.start;
-    let mut cur = ScalarGrid::from_fn(nx, block_ny, |x, y| init(x, y0 + y));
-    cur.set_boundary(params.boundary);
-    let mut next = ScalarGrid::zeros(nx, block_ny);
-    next.set_boundary(params.boundary);
-    let boundary_row = vec![params.boundary; nx];
+/// One locality's block of rows, with halo rows above and below.
+struct Rows {
+    cur: ScalarGrid<f64>,
+    next: ScalarGrid<f64>,
+}
 
-    for t in 0..params.steps as u64 {
-        // (1) Ship edge rows; they travel while the interior computes.
-        // A transient transport error (reconnecting peer) retries with
-        // backoff rather than killing the whole solve.
-        if let Some(up) = up_gid {
-            parallex::resilience::retry(3, std::time::Duration::from_millis(2), || {
-                loc.apply(up, ROW_PUSH, &(TAG_BOTTOM, t, cur.interior_row(0)))
-            })
-            .expect("row parcel to upper neighbour");
+impl HaloBlock for Rows {
+    type Halo = Vec<f64>;
+
+    fn edge(&self, side: Side) -> Vec<f64> {
+        match side {
+            Side::Left => self.cur.interior_row(0),
+            Side::Right => self.cur.interior_row(self.cur.ny() - 1),
         }
-        if let Some(down) = down_gid {
-            parallex::resilience::retry(3, std::time::Duration::from_millis(2), || {
-                loc.apply(down, ROW_PUSH, &(TAG_TOP, t, cur.interior_row(block_ny - 1)))
-            })
-            .expect("row parcel to lower neighbour");
-        }
-        // (2) Interior rows (1..block_ny-1): independent of halo rows.
-        jacobi_step_scalar_edges(&cur, &mut next, &par(&rt), false);
-        // (3) Resolve halo rows, finish the edge rows.
-        let top = match up_gid {
-            Some(_) => mailbox.take(loc, TAG_TOP, t).get(),
-            None => boundary_row.clone(),
-        };
-        let bottom = match down_gid {
-            Some(_) => mailbox.take(loc, TAG_BOTTOM, t).get(),
-            None => boundary_row.clone(),
-        };
-        cur.set_top_halo_row(&top);
-        cur.set_bottom_halo_row(&bottom);
-        jacobi_step_scalar_edges(&cur, &mut next, &par(&rt), true);
-        std::mem::swap(&mut cur, &mut next);
     }
-    cur.interior()
+
+    /// Rows `1..block_ny-1`, which read no halo row.
+    fn interior(&mut self, rt: &Runtime) {
+        jacobi_step_scalar_edges(&self.cur, &mut self.next, &par(rt), false);
+    }
+
+    fn finish(&mut self, top: Vec<f64>, bottom: Vec<f64>) {
+        self.cur.set_top_halo_row(&top);
+        self.cur.set_bottom_halo_row(&bottom);
+        // The two edge rows update serially: the policy goes unused.
+        jacobi_step_scalar_edges(&self.cur, &mut self.next, &seq(), true);
+        std::mem::swap(&mut self.cur, &mut self.next);
+    }
+
+    fn into_values(self) -> Vec<f64> {
+        self.cur.interior()
+    }
 }
 
 #[cfg(test)]
@@ -254,19 +206,34 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "leave a rank empty")]
+    fn more_ranks_than_rows_is_rejected() {
+        let cluster = Cluster::new(5, 1);
+        install(&cluster);
+        let _ = Jacobi2dDist::new(&cluster, Jacobi2dDistParams::new(6, 4, 2));
+    }
+
+    #[test]
     fn chaos_transport_matches_shared_memory_solver_bitwise() {
         let params = Jacobi2dDistParams::new(10, 12, 8);
         let want = run_serial(params, spot);
         let chaos = parallex::resilience::ChaosSpec::parse(
-            "seed=42,drop=5%,dup=2%,corrupt=1%,delay=1ms",
+            "seed=42,drop=5%,dup=2%,corrupt=1%,delay=1ms,panics=2",
         )
         .unwrap();
         let cluster = Cluster::new_resilient(3, 2, Some(chaos));
         install(&cluster);
         let solver = Jacobi2dDist::new(&cluster, params);
         let got = solver.run(spot);
+        let injected_panics: u64 = cluster
+            .counter_snapshot()
+            .iter()
+            .filter(|(p, _)| p.object == "chaos" && p.name == "count/injected-panics")
+            .map(|(_, v)| v)
+            .sum();
         cluster.shutdown();
         assert_eq!(got, want, "chaos run diverged from the serial solver");
+        assert_eq!(injected_panics, 6, "two replayed panics per locality");
     }
 
     #[test]

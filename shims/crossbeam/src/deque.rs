@@ -366,7 +366,7 @@ impl<T> fmt::Debug for Stealer<T> {
 /// there rides on epoch GC. This stand-in is a spinlock around a
 /// `VecDeque` — the scheduler only touches it for external spawns and
 /// drains it in batches, so one brief lock acquisition amortizes over up
-/// to [`MAX_BATCH`] tasks.
+/// to `MAX_BATCH` tasks.
 pub struct Injector<T> {
     queue: crate::queue::SegQueue<T>,
 }

@@ -166,7 +166,7 @@ pub mod collection {
     use crate::test_runner::Rng;
     use std::ops::Range;
 
-    /// Element-count specification for [`vec`]: an exact `usize` or a
+    /// Element-count specification for [`vec()`]: an exact `usize` or a
     /// half-open `Range<usize>`.
     pub struct SizeRange {
         min: usize,

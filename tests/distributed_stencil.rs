@@ -154,7 +154,7 @@ fn interior_compute_overlaps_halo_latency() {
 
 #[test]
 fn two_solvers_share_one_cluster() {
-    // Component isolation: two solver instances (separate halo stores) on
+    // Component isolation: two solver instances (separate halo mailboxes) on
     // one cluster must not cross-talk.
     let cluster = Cluster::new(2, 2);
     install(&cluster);

@@ -12,6 +12,8 @@ use parallex::parcel::stack::Stack;
 use parallex::parcel::Parcel;
 use parallex::resilience::ChaosSpec;
 use parallex_stencil::heat1d::{install, Heat1dParams, Heat1dSolver};
+use parallex_stencil::jacobi2d_dist::{self, Jacobi2dDist, Jacobi2dDistParams};
+use parallex_stencil::Jacobi2d;
 use proptest::prelude::*;
 
 fn mk_parcel(
@@ -274,11 +276,27 @@ fn bump(i: usize) -> f64 {
     }
 }
 
-/// The solve of `repro heat1d-net`, run SPMD on three clusters that each
-/// host one rank over `stack` and connect over loopback. Checks that the
-/// clusters agree on every system and halo-store GID, and returns the
-/// assembled field and the merged counter snapshot.
-fn heat1d_one_rank_per_cluster(stack: &Stack) -> (Vec<f64>, CounterSnapshot) {
+fn spot(x: usize, y: usize) -> f64 {
+    if (3..6).contains(&x) && (4..7).contains(&y) {
+        50.0
+    } else {
+        0.0
+    }
+}
+
+/// A distributed solve run SPMD on three clusters that each host one
+/// rank over `stack` and connect over loopback: the shape of `repro
+/// heat1d-net`.
+/// `solver` installs the solver's action and builds it on one cluster,
+/// `mailbox_gid` names a rank's halo mailbox and `run` solves. Checks
+/// that the clusters agree on every system and halo-mailbox GID, and
+/// returns the assembled field and the merged counter snapshot.
+fn one_rank_per_cluster<S: Sync>(
+    stack: &Stack,
+    solver: impl Fn(&Cluster) -> S,
+    mailbox_gid: impl Fn(&S, usize) -> Gid,
+    run: impl Fn(&S) -> Vec<f64> + Sync,
+) -> (Vec<f64>, CounterSnapshot) {
     const RANKS: usize = 3;
     let clusters: Vec<Cluster> = (0..RANKS)
         .map(|r| Cluster::host(RANKS, r..r + 1, 2, stack).expect("host one rank"))
@@ -288,24 +306,26 @@ fn heat1d_one_rank_per_cluster(stack: &Stack) -> (Vec<f64>, CounterSnapshot) {
         .enumerate()
         .map(|(r, c)| c.locality(r).endpoint().expect("a stack listens"))
         .collect();
-    let solvers: Vec<Heat1dSolver> = clusters
+    let solvers: Vec<S> = clusters
         .iter()
         .map(|c| {
             c.connect(&endpoints).expect("connect the mesh");
-            install(c);
-            Heat1dSolver::new(c, Heat1dParams::new(96, 40, 0.25))
+            solver(c)
         })
         .collect();
     for (c, s) in clusters.iter().zip(&solvers) {
         for i in 0..RANKS {
             assert_eq!(c.system_gid(i), clusters[0].system_gid(i), "system GID of {i}");
-            assert_eq!(s.store_gid(i), solvers[0].store_gid(i), "halo-store GID of {i}");
+            assert_eq!(mailbox_gid(s, i), mailbox_gid(&solvers[0], i), "halo-mailbox GID of {i}");
         }
     }
     let blocks: Vec<Vec<f64>> = std::thread::scope(|scope| {
         let runs: Vec<_> = solvers
             .iter()
-            .map(|s| scope.spawn(move || s.run(bump)))
+            .map(|s| {
+                let run = &run;
+                scope.spawn(move || run(s))
+            })
             .collect();
         runs.into_iter()
             .map(|h| h.join().expect("rank solve"))
@@ -324,23 +344,63 @@ fn heat1d_one_rank_per_cluster(stack: &Stack) -> (Vec<f64>, CounterSnapshot) {
     (blocks.concat(), CounterSnapshot::merge(snapshots))
 }
 
+fn injected_panics(snap: &CounterSnapshot) -> u64 {
+    snap.iter()
+        .filter(|(p, _)| p.object == "chaos" && p.name == "count/injected-panics")
+        .map(|(_, v)| v)
+        .sum()
+}
+
 #[test]
 fn clusters_hosting_one_rank_each_solve_bitwise_like_one_cluster() {
     let reference = Cluster::new(3, 2);
     install(&reference);
     let want = Heat1dSolver::new(&reference, Heat1dParams::new(96, 40, 0.25)).run(bump);
     reference.shutdown();
-    let injected_panics = |snap: &CounterSnapshot| -> u64 {
-        snap.iter()
-            .filter(|(p, _)| p.object == "chaos" && p.name == "count/injected-panics")
-            .map(|(_, v)| v)
-            .sum()
+    // The solve of `repro heat1d-net`.
+    let solve = |stack: &Stack| {
+        one_rank_per_cluster(
+            stack,
+            |c| {
+                install(c);
+                Heat1dSolver::new(c, Heat1dParams::new(96, 40, 0.25))
+            },
+            Heat1dSolver::store_gid,
+            |s| s.run(bump),
+        )
     };
-    let (raw, snap) = heat1d_one_rank_per_cluster(&Stack::Tcp);
+    let (raw, snap) = solve(&Stack::Tcp);
     assert_eq!(raw, want, "TCP ranks diverged from the in-process cluster");
     assert_eq!(injected_panics(&snap), 0);
-    let (chaos, snap) = heat1d_one_rank_per_cluster(&Stack::Chaos(ChaosSpec::pinned()));
+    let (chaos, snap) = solve(&Stack::Chaos(ChaosSpec::pinned()));
     assert_eq!(chaos, want, "chaos ranks diverged from the in-process cluster");
+    assert_eq!(injected_panics(&snap), 3, "one injected panic per rank");
+}
+
+#[test]
+fn jacobi2d_on_clusters_hosting_one_rank_each_matches_the_serial_solver_bitwise() {
+    let params = Jacobi2dDistParams::new(12, 17, 12);
+    let mut serial = Jacobi2d::new(params.nx, params.ny, params.boundary, spot);
+    for _ in 0..params.steps {
+        serial.step(&parallex::algorithms::seq());
+    }
+    let want = serial.grid().interior();
+    let solve = |stack: &Stack| {
+        one_rank_per_cluster(
+            stack,
+            |c| {
+                jacobi2d_dist::install(c);
+                Jacobi2dDist::new(c, params)
+            },
+            Jacobi2dDist::store_gid,
+            |s| s.run(spot),
+        )
+    };
+    let (raw, snap) = solve(&Stack::Tcp);
+    assert_eq!(raw, want, "TCP ranks diverged from the serial solver");
+    assert_eq!(injected_panics(&snap), 0);
+    let (chaos, snap) = solve(&Stack::Chaos(ChaosSpec::pinned()));
+    assert_eq!(chaos, want, "chaos ranks diverged from the serial solver");
     assert_eq!(injected_panics(&snap), 3, "one injected panic per rank");
 }
 
