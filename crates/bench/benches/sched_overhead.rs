@@ -275,7 +275,7 @@ fn main() {
     let uts_nodes = uts_expected(UTS_DEPTH);
     // Cumulative scheduler counters of the 4-worker runtime, captured
     // after its UTS run (the steal-heavy workload).
-    let mut loaded_snap: Option<parallex::perf::Snapshot> = None;
+    let mut loaded_snap: Option<parallex::introspect::CounterSnapshot> = None;
 
     for &w in &worker_counts {
         // ---- lock-based baseline ----
@@ -383,11 +383,19 @@ fn main() {
             secs: d.as_secs_f64(),
         });
         if w == 4 {
-            loaded_snap = Some(rt.perf_snapshot());
+            loaded_snap = Some(rt.counter_snapshot());
         }
         rt.shutdown();
     }
     let snap = loaded_snap.expect("4-worker config always runs");
+    let sched = |name| snap.total("threads", name);
+    let (stolen, steal_attempts, steal_batches, parks, wakes) = (
+        sched("count/stolen"),
+        sched("count/steal-attempts"),
+        sched("count/steal-batches"),
+        sched("count/parks"),
+        sched("count/wakes"),
+    );
 
     // ---- idle CPU: 4 workers, no work for 500 ms ----
     let idle_window = Duration::from_millis(500);
@@ -447,8 +455,7 @@ fn main() {
         idle_window, idle_ticks_chase_lev, idle_ticks_lock
     );
     println!(
-        "chase_lev 4-worker counters (cumulative through UTS): stolen={} steal_attempts={} steal_batches={} parks={} wakes={}",
-        snap.tasks_stolen, snap.steal_attempts, snap.steal_batches, snap.worker_parks, snap.worker_wakes
+        "chase_lev 4-worker counters (cumulative through UTS): stolen={stolen} steal_attempts={steal_attempts} steal_batches={steal_batches} parks={parks} wakes={wakes}",
     );
 
     // ---- BENCH_sched.json ----
@@ -473,8 +480,7 @@ fn main() {
         idle_ticks_lock.map_or("null".into(), |v| v.to_string())
     ));
     json.push_str(&format!(
-        "  \"chase_lev_4worker_counters\": {{\"stolen\": {}, \"steal_attempts\": {}, \"steal_batches\": {}, \"parks\": {}, \"wakes\": {}}}\n}}\n",
-        snap.tasks_stolen, snap.steal_attempts, snap.steal_batches, snap.worker_parks, snap.worker_wakes
+        "  \"chase_lev_4worker_counters\": {{\"stolen\": {stolen}, \"steal_attempts\": {steal_attempts}, \"steal_batches\": {steal_batches}, \"parks\": {parks}, \"wakes\": {wakes}}}\n}}\n",
     ));
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sched.json");
     std::fs::write(out, &json).expect("write BENCH_sched.json");

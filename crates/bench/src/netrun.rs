@@ -26,10 +26,13 @@
 //! records the fault-free overhead of the reliable layer.
 //!
 //! Each worker reports its block and its cluster's counter snapshot, one
-//! `path value` line per counter.
+//! `path value` line per counter. The parent sums them per path with
+//! [`CounterSnapshot::total`], including the `/halo{...}` take counters
+//! that say how many halos had already arrived when their rank needed
+//! them.
 
 use parallex::agas::Gid;
-use parallex::introspect::{CounterPath, CounterSnapshot, Instance};
+use parallex::introspect::{CounterPath, CounterRegistry, CounterSnapshot};
 use parallex::locality::Cluster;
 use parallex::parcel::stack::{build_stack, Stack};
 use parallex::parcel::tcp::{TcpConfig, TcpParcelport};
@@ -155,15 +158,6 @@ pub fn run_worker(args: &[String]) {
 // parent side
 // ---------------------------------------------------------------------------
 
-/// Sum of the locality-total counter `/{object}{locality#*/total}/{name}`
-/// over every rank in `snap`.
-fn total(snap: &CounterSnapshot, object: &str, name: &str) -> u64 {
-    snap.iter()
-        .filter(|(p, _)| p.object == object && p.instance == Instance::Total && p.name == name)
-        .map(|(_, v)| v)
-        .sum()
-}
-
 /// One completed distributed run: the reassembled field, every rank's
 /// counters, and the slowest rank's step-loop time.
 struct DistRun {
@@ -247,7 +241,7 @@ fn run_distributed(chaos_arg: &str) -> DistRun {
         let snap = CounterSnapshot::from_entries(0.0, counters);
         // The rank's runtime ran each task it spawned to completion or to
         // a counted panic.
-        let tasks = |name| total(&snap, "threads", name);
+        let tasks = |name| snap.total("threads", name);
         let ran = tasks("count/cumulative") + tasks("count/panicked");
         assert_eq!(tasks("count/spawned"), ran, "rank {rank}: tasks spawned vs ran");
         snapshots.push(snap);
@@ -300,13 +294,13 @@ pub fn heat1d_net(chaos: Option<&str>) -> NetRunReport {
         counters,
         makespan_us,
     } = run_distributed(&chaos_arg);
-    let wire = |name| total(&counters, "parcels", name);
+    let wire = |name| counters.total("parcels", name);
     let (parcels, writes, bytes) = (
         wire("count/wire-sent"),
         wire("count/writes"),
         wire("bytes/sent"),
     );
-    let chaos = |name| total(&counters, "chaos", name);
+    let chaos = |name| counters.total("chaos", name);
     let (inj_drops, inj_dups, inj_delays, inj_corrupts, task_panics) = (
         chaos("count/injected-drops"),
         chaos("count/injected-dups"),
@@ -316,12 +310,19 @@ pub fn heat1d_net(chaos: Option<&str>) -> NetRunReport {
     );
     // Conservation on the real runtime, summed over the processes: every
     // parcel a rank sent was received by one.
-    let (sent, received) = (
-        total(&counters, "parcels", "count/sent"),
-        total(&counters, "parcels", "count/received"),
-    );
+    let (sent, received) = (wire("count/sent"), wire("count/received"));
     assert_eq!(sent, received, "parcels sent vs received across the ranks");
-    let recovery = |name| total(&counters, "resilience", name);
+    // Every rank takes one halo per neighbour per step, raw or under chaos.
+    let (halo_ready, halo_parked) = (
+        counters.total("halo", "count/ready-takes"),
+        counters.total("halo", "count/parked-takes"),
+    );
+    assert_eq!(
+        halo_ready + halo_parked,
+        2 * (RANKS as u64 - 1) * STEPS,
+        "halo takes across the ranks"
+    );
+    let recovery = |name| counters.total("resilience", name);
     let (retransmits, dup_drops, corrupt_drops) = (
         recovery("count/retransmits"),
         recovery("count/dup-drops"),
@@ -352,7 +353,8 @@ pub fn heat1d_net(chaos: Option<&str>) -> NetRunReport {
         "== heat1d-net: {RANKS} OS processes over TCP loopback ==\n\
          domain {POINTS} points, {STEPS} steps, r = {R}\n\
          max abs diff vs in-process Cluster: {diff:e}\n\
-         wire: {parcels} parcels in {writes} writes ({bytes} bytes)\n",
+         wire: {parcels} parcels in {writes} writes ({bytes} bytes)\n\
+         halo takes: {halo_ready} ready, {halo_parked} parked\n",
     );
     let mut resilience_json = None;
     if let Some(spec) = &chaos_spec {
@@ -420,6 +422,7 @@ pub fn heat1d_net(chaos: Option<&str>) -> NetRunReport {
         "{{\n  \"experiment\": \"heat1d-net\",\n  \"ranks\": {RANKS},\n  \"points\": {POINTS},\n  \
          \"steps\": {STEPS},\n  \"max_abs_diff\": {diff:e},\n  \
          \"wire\": {{ \"parcels\": {parcels}, \"writes\": {writes}, \"bytes\": {bytes} }},\n  \
+         \"halo_takes\": {{ \"ready\": {halo_ready}, \"parked\": {halo_parked} }},\n  \
          \"coalescing\": {{\n    \"parcels\": {COALESCE_PARCELS},\n    \"payload_bytes\": {COALESCE_PAYLOAD},\n    \
          \"coalesced\": {},\n    \"uncoalesced\": {}\n  }}\n}}\n",
         coalesced.json(),
@@ -475,8 +478,11 @@ fn bench_parcel(payload: &bytes::Bytes) -> Parcel {
 }
 
 /// Push the stream from `a` to locality 1 until `b` has delivered all of
-/// it, and count the physical writes `tcp_a` (the bottom of `a`) took.
-fn stream_run(a: &dyn Parcelport, b: &dyn Parcelport, tcp_a: &TcpParcelport) -> CoalesceStats {
+/// it, and read the physical writes and bytes the TCP layer at the bottom
+/// of `a` took from the registry `a`'s stack registers into.
+fn stream_run(a: Arc<dyn Parcelport>, b: &dyn Parcelport) -> CoalesceStats {
+    let registry = CounterRegistry::new();
+    a.clone().register_counters(&registry, 0);
     let payload = bytes::Bytes::from(vec![0x5a_u8; COALESCE_PAYLOAD]);
     let t0 = Instant::now();
     for _ in 0..COALESCE_PARCELS {
@@ -488,9 +494,10 @@ fn stream_run(a: &dyn Parcelport, b: &dyn Parcelport, tcp_a: &TcpParcelport) -> 
         std::thread::sleep(Duration::from_millis(1));
     }
     let elapsed = t0.elapsed();
+    let snap = registry.snapshot();
     let stats = CoalesceStats {
-        writes: tcp_a.writes(),
-        bytes: tcp_a.bytes_sent(),
+        writes: snap.total("parcels", "count/writes"),
+        bytes: snap.total("parcels", "bytes/sent"),
         elapsed,
     };
     a.shutdown();
@@ -506,7 +513,7 @@ fn coalescing_run(cfg: TcpConfig) -> CoalesceStats {
     let a = bind(0, cfg.clone()).expect("bind sender port");
     let b = bind(1, cfg).expect("bind receiver port");
     a.connect_peer(1, b.local_addr()).expect("connect loopback pair");
-    stream_run(&*a, &*b, &a)
+    stream_run(a, &*b)
 }
 
 /// The same stream through the reliable stack (no chaos): what sequence
@@ -520,5 +527,5 @@ fn reliable_coalescing_run() -> CoalesceStats {
     tcp_b
         .connect_peer(0, tcp_a.local_addr())
         .expect("connect ack path");
-    stream_run(&*a, &*b, &tcp_a)
+    stream_run(a, &*b)
 }

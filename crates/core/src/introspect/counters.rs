@@ -12,6 +12,13 @@
 //! background thread, producing a [`SampleSeries`] of snapshots at a
 //! fixed cadence — the moral equivalent of
 //! `hpx --hpx:print-counter-interval`.
+//!
+//! Every runtime count is read through a registry: the runtime's task
+//! and scheduler counters, each parcelport layer's transport counters,
+//! and the cluster's drop, chaos and halo-take counters. The subsystems
+//! keep their relaxed atomics as the probes' backing store and expose no
+//! other view of them. [`CounterSnapshot::total`] sums one locality-total
+//! counter over the localities of a (merged) snapshot.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -249,6 +256,16 @@ impl CounterSnapshot {
             .map(|i| self.entries[i].1)
     }
 
+    /// Sum of the locality-total counter `/{object}{locality#*/total}/{name}`
+    /// over every locality in the snapshot (0 if none has it).
+    pub fn total(&self, object: &str, name: &str) -> u64 {
+        self.entries
+            .iter()
+            .filter(|(p, _)| p.object == object && p.instance == Instance::Total && p.name == name)
+            .map(|(_, v)| v)
+            .sum()
+    }
+
     /// Interval delta `self - earlier`, counter by counter (saturating;
     /// counters absent from `earlier` keep their full value).
     pub fn delta(&self, earlier: &CounterSnapshot) -> CounterSnapshot {
@@ -424,6 +441,30 @@ mod tests {
             )),
             Some(0)
         );
+        // A reversed delta saturates to zero instead of wrapping.
+        assert_eq!(s0.delta(&s1).get(&path), Some(0));
+    }
+
+    #[test]
+    fn total_sums_the_total_instance_over_localities() {
+        let path = |object: &str, locality, instance, name: &str| {
+            CounterPath::new(object, locality, instance, name)
+        };
+        let snap = CounterSnapshot::from_entries(
+            0.0,
+            vec![
+                (path("threads", 0, Instance::Total, "count/x"), 3),
+                (path("threads", 1, Instance::Total, "count/x"), 4),
+                (path("threads", 2, Instance::Total, "count/x"), 5),
+                // Worker instances, other objects and other names are not summed.
+                (path("threads", 0, Instance::Worker(0), "count/x"), 100),
+                (path("parcels", 0, Instance::Total, "count/x"), 1000),
+                (path("threads", 0, Instance::Total, "count/y"), 10_000),
+            ],
+        );
+        assert_eq!(snap.total("threads", "count/x"), 12);
+        assert_eq!(snap.total("parcels", "count/x"), 1000);
+        assert_eq!(snap.total("lcos", "count/x"), 0);
     }
 
     #[test]

@@ -10,8 +10,11 @@
 //! * [`CounterPath`] / [`CounterRegistry`] / [`CounterSnapshot`] — named
 //!   counters registered at hierarchical paths with per-locality and
 //!   per-worker instances, snapshotted on demand, diffable with
-//!   [`CounterSnapshot::delta`] for interval rates
-//!   ([`counters`]);
+//!   [`CounterSnapshot::delta`] for interval rates and summed over
+//!   localities with [`CounterSnapshot::total`] ([`counters`]). The
+//!   registry is the one way to read a runtime count: task, scheduler,
+//!   parcel, transport, resilience, chaos and halo counters all register
+//!   there, and their atomics are only its backing store;
 //! * [`CounterSampler`] — a background thread snapshotting a registry at
 //!   a fixed interval into a [`SampleSeries`] time series;
 //! * [`Tracer`] / [`TraceEvent`] / [`EventKind`] — typed span/instant

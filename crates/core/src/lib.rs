@@ -50,7 +50,7 @@ pub mod introspect;
 pub mod lcos;
 pub mod locality;
 pub mod parcel;
-pub mod perf;
+mod perf;
 pub mod resilience;
 pub mod runtime;
 pub mod sched;

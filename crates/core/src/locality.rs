@@ -73,6 +73,12 @@ pub struct Locality {
     chaos: Option<ChaosSpec>,
     /// `/chaos{locality#L/total}/count/injected-panics` (chaos only).
     injected_panics: Arc<AtomicU64>,
+    /// `/halo{locality#L/total}/count/ready-takes`: halo takes whose value
+    /// had already arrived (communication hidden behind compute).
+    halo_ready_takes: Arc<AtomicU64>,
+    /// `/halo{locality#L/total}/count/parked-takes`: halo takes that had
+    /// to wait for their value (exposed communication).
+    halo_parked_takes: Arc<AtomicU64>,
     /// `count/dropped/send-failed`: parcels the transport refused with
     /// no caller waiting to be told.
     dropped_send_failed: Arc<AtomicU64>,
@@ -136,6 +142,13 @@ impl Locality {
     /// Count one task panic injected from [`Locality::injected_panic_steps`].
     pub fn count_injected_panic(&self) {
         self.injected_panics.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count one halo take on this locality: `ready` if its value had
+    /// already arrived, parked otherwise.
+    pub fn count_halo_take(&self, ready: bool) {
+        let counter = if ready { &self.halo_ready_takes } else { &self.halo_parked_takes };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     fn shared(&self) -> Result<Arc<ClusterShared>> {
@@ -552,6 +565,8 @@ impl Cluster {
                     tcp: OnceLock::new(),
                     chaos: chaos.clone(),
                     injected_panics: Arc::new(AtomicU64::new(0)),
+                    halo_ready_takes: Arc::new(AtomicU64::new(0)),
+                    halo_parked_takes: Arc::new(AtomicU64::new(0)),
                     dropped_send_failed: Arc::new(AtomicU64::new(0)),
                     dropped_unknown_locality: Arc::new(AtomicU64::new(0)),
                     dropped_handler_failed: Arc::new(AtomicU64::new(0)),
@@ -583,11 +598,14 @@ impl Cluster {
                     "parcels",
                     "count/dropped/unknown-locality",
                     &loc.dropped_unknown_locality,
-                ),                (
+                ),
+                (
                     "parcels",
                     "count/dropped/handler-failed",
                     &loc.dropped_handler_failed,
                 ),
+                ("halo", "count/ready-takes", &loc.halo_ready_takes),
+                ("halo", "count/parked-takes", &loc.halo_parked_takes),
             ];
             if loc.chaos.is_some() {
                 counters.push(("chaos", "count/injected-panics", &loc.injected_panics));
@@ -1118,15 +1136,6 @@ mod tests {
         with_actions(Cluster::new_tcp(3, 2))
     }
 
-    /// Sum of the locality-total counter `/{object}{locality#*/total}/{name}`.
-    fn total(c: &Cluster, object: &str, name: &str) -> u64 {
-        c.counter_snapshot()
-            .iter()
-            .filter(|(p, _)| p.object == object && p.instance == Instance::Total && p.name == name)
-            .map(|(_, v)| v)
-            .sum()
-    }
-
     fn with_actions(c: Cluster) -> Cluster {
         c.register_action(ECHO, "echo", |_, _, payload| Ok(payload.to_vec()));
         c.register_action(ADD_TO, "add_to", |loc, gid, payload| {
@@ -1261,8 +1270,8 @@ mod tests {
         let gid = c.new_component(1, ());
         let f = c.locality(0).call::<(), u32>(gid, WHERE_AM_I, &()).unwrap();
         f.get();
-        let sent = c.locality(0).runtime().counters().parcels_sent.load(Ordering::Relaxed);
-        assert!(sent >= 1);
+        let sent = CounterPath::new("parcels", 0, Instance::Total, "count/sent");
+        assert!(c.counter_snapshot().get(&sent).unwrap() >= 1);
         c.shutdown();
     }
 
@@ -1315,24 +1324,18 @@ mod tests {
         }
         let _ = c.broadcast::<(), u32>(WHERE_AM_I, &()).unwrap().get();
         c.wait_idle();
-        let (mut sent, mut received) = (0usize, 0usize);
-        for loc in c.localities() {
-            let snap = loc.runtime().perf_snapshot();
-            sent += snap.parcels_sent;
-            received += snap.parcels_received;
-        }
+        let snap = c.counter_snapshot();
+        let sent = snap.total("parcels", "count/sent");
+        let received = snap.total("parcels", "count/received");
         assert!(sent >= 20 + 2 * 10, "sent {sent}");
         assert_eq!(sent, received, "parcel conservation violated");
-        // the same identity through the hierarchical registry schema
-        let snap = c.counter_snapshot();
-        let sum = |name: &str| -> u64 {
-            snap.iter()
-                .filter(|(p, _)| p.object == "parcels" && p.name == name)
-                .map(|(_, v)| v)
-                .sum()
-        };
-        assert_eq!(sum("count/sent"), sent as u64);
-        assert_eq!(sum("count/received"), received as u64);
+        // Each locality's own runtime registry carries its share.
+        let per_locality: u64 = c
+            .localities()
+            .iter()
+            .map(|loc| loc.runtime().counter_snapshot().total("parcels", "count/sent"))
+            .sum();
+        assert_eq!(per_locality, sent);
         c.shutdown();
     }
 
@@ -1391,9 +1394,9 @@ mod tests {
             .unwrap();
         assert_eq!(f.get(), "over tcp");
         // The request and its response really went over the wire.
-        let wire_parcels = total(&c, "parcels", "count/wire-sent");
+        let wire_parcels = c.counter_snapshot().total("parcels", "count/wire-sent");
         assert!(wire_parcels >= 2, "request + response on sockets, got {wire_parcels}");
-        assert!(total(&c, "parcels", "bytes/sent") > 0);
+        assert!(c.counter_snapshot().total("parcels", "bytes/sent") > 0);
         c.shutdown();
     }
 
@@ -1431,24 +1434,23 @@ mod tests {
         let cell = c.get_component::<Mutex<i64>>(gid).unwrap();
         assert_eq!(*cell.lock(), 20);
         // Σ sent == Σ received at the runtime-counter level…
-        let (mut sent, mut received) = (0usize, 0usize);
-        for loc in c.localities() {
-            let snap = loc.runtime().perf_snapshot();
-            sent += snap.parcels_sent;
-            received += snap.parcels_received;
-        }
-        assert_eq!(sent, received, "parcel conservation violated over TCP");
+        let snap = c.counter_snapshot();
+        assert_eq!(
+            snap.total("parcels", "count/sent"),
+            snap.total("parcels", "count/received"),
+            "parcel conservation violated over TCP"
+        );
         // …and at the wire level (every inter-locality parcel here
         // crosses a socket; none of these targets are self-sends).
-        let wire_sent = total(&c, "parcels", "count/wire-sent");
-        let wire_received = total(&c, "parcels", "count/wire-received");
+        let wire_sent = snap.total("parcels", "count/wire-sent");
+        let wire_received = snap.total("parcels", "count/wire-received");
         assert_eq!(wire_sent, wire_received, "wire-level conservation violated");
         assert!(wire_sent >= 30, "wire_sent {wire_sent}");
         // Coalescing means fewer physical writes than parcels.
-        let writes = total(&c, "parcels", "count/writes");
+        let writes = snap.total("parcels", "count/writes");
         assert!(writes <= wire_sent, "writes {writes} vs parcels {wire_sent}");
         assert!(
-            total(&c, "parcels", "bytes/sent") > 0,
+            snap.total("parcels", "bytes/sent") > 0,
             "/parcels/.../bytes/sent must count"
         );
         c.shutdown();
@@ -1574,7 +1576,9 @@ mod tests {
             let paths = c
                 .counter_snapshot()
                 .iter()
-                .filter(|(p, _)| matches!(p.object.as_str(), "parcels" | "resilience" | "chaos"))
+                .filter(|(p, _)| {
+                    matches!(p.object.as_str(), "parcels" | "resilience" | "chaos" | "halo")
+                })
                 .map(|(p, _)| p.to_string())
                 .collect();
             c.shutdown();
@@ -1597,6 +1601,8 @@ mod tests {
             ("parcels", "count/dropped/send-failed"),
             ("parcels", "count/dropped/unknown-locality"),
             ("parcels", "count/dropped/handler-failed"),
+            ("halo", "count/ready-takes"),
+            ("halo", "count/parked-takes"),
             // TCP layer
             ("parcels", "bytes/sent"),
             ("parcels", "bytes/received"),
@@ -1667,8 +1673,9 @@ mod tests {
         c.wait_idle();
         // Effectively-once despite injected drops, dups and corruption.
         assert_eq!(*c.get_component::<Mutex<i64>>(gid).unwrap().lock(), 50);
-        let sent = total(&c, "resilience", "data/sent");
-        let delivered = total(&c, "resilience", "data/delivered");
+        let snap = c.counter_snapshot();
+        let sent = snap.total("resilience", "data/sent");
+        let delivered = snap.total("resilience", "data/delivered");
         assert_eq!(sent, delivered, "logical ledger balances at idle");
         // The schedule above must actually have injected something, and
         // the injected faults surface through the counter registry.
@@ -1678,11 +1685,11 @@ mod tests {
             "count/injected-corrupts",
         ]
         .iter()
-        .map(|name| total(&c, "chaos", name))
+        .map(|name| snap.total("chaos", name))
         .sum();
         assert!(injected > 0, "chaos spec injected no faults — seed too tame");
         assert!(
-            total(&c, "resilience", "count/retransmits") > 0,
+            snap.total("resilience", "count/retransmits") > 0,
             "drops must force retransmission"
         );
         c.shutdown();

@@ -256,17 +256,6 @@ impl TcpParcelport {
         self.inner.peers.write().insert(peer_id, peer);
         Ok(())
     }
-
-    /// Total frame bytes put on the wire so far.
-    pub fn bytes_sent(&self) -> u64 {
-        self.inner.stats.bytes_sent.load(Ordering::Relaxed)
-    }
-
-    /// Number of physical writes issued — with coalescing this is
-    /// (often much) smaller than the number of parcels sent.
-    pub fn writes(&self) -> u64 {
-        self.inner.stats.writes.load(Ordering::Relaxed)
-    }
 }
 
 impl Parcelport for TcpParcelport {
@@ -518,6 +507,7 @@ fn writer_loop(mut stream: TcpStream, peer_id: u32, shared: Arc<PeerShared>, inn
 mod tests {
     use super::*;
     use crate::agas::Gid;
+    use crate::introspect::{CounterPath, Instance};
     use bytes::Bytes;
     use std::sync::mpsc;
     use std::time::Instant;
@@ -538,6 +528,16 @@ mod tests {
     }
 
     /// Two ports wired A→B; returns (A, B, receiver of B's events).
+    /// The port's counter at `/parcels{locality#0/total}/{name}`, read
+    /// through the registry it registers into.
+    fn counter(port: &Arc<TcpParcelport>, name: &str) -> u64 {
+        let reg = CounterRegistry::new();
+        port.clone().register_counters(&reg, 0);
+        reg.snapshot()
+            .get(&CounterPath::new("parcels", 0, Instance::Total, name))
+            .unwrap()
+    }
+
     fn pair(cfg: TcpConfig) -> (Arc<TcpParcelport>, Arc<TcpParcelport>, mpsc::Receiver<PortEvent>) {
         let (tx, rx) = mpsc::channel();
         let sink_b: PortSink = Arc::new(move |ev| {
@@ -598,7 +598,7 @@ mod tests {
         let (a, b, rx) = pair(cfg);
         a.send(parcel(1, &[7; 64])).unwrap();
         recv_parcels(&rx, 1);
-        assert_eq!(a.writes(), 1, "a lone parcel is exactly one write");
+        assert_eq!(counter(&a, "count/writes"), 1, "a lone parcel is exactly one write");
         a.shutdown();
         b.shutdown();
     }
@@ -641,7 +641,7 @@ mod tests {
         for (i, p) in got[1..].iter().enumerate() {
             assert_eq!(p.payload[..4], (i as u32).to_le_bytes(), "in-order delivery");
         }
-        let writes = a.writes();
+        let writes = counter(&a, "count/writes");
         assert!(writes <= 250, "a burst must coalesce, got {writes} writes for 1001 parcels");
         a.shutdown();
     }
@@ -657,7 +657,7 @@ mod tests {
             PortEvent::PeerLost(l) => panic!("wrong peer lost: {l}"),
             PortEvent::Deliver(_) => panic!("garbage decoded as a parcel"),
         }
-        assert_eq!(b.inner.stats.corrupt_frames.load(Ordering::Relaxed), 1);
+        assert_eq!(counter(&b, "count/dropped/corrupt-frame"), 1);
         assert!(b.peer_lost());
         a.shutdown();
         b.shutdown();

@@ -1,89 +1,40 @@
-//! Runtime performance counters.
+//! The backing store of the runtime's counters.
 //!
 //! HPX exposes introspection counters under paths like
-//! `/threads/count/cumulative`; this module is the equivalent: cheap
-//! relaxed atomics bumped on the hot paths, snapshotted on demand.
+//! `/threads{locality#0/total}/count/cumulative`; this module holds the
+//! cheap relaxed atomics bumped on the hot paths and registers one probe
+//! per counter in the runtime's [`CounterRegistry`]
+//! (`register_runtime_counters`). The registry is the only way to read
+//! them.
 //!
 //! Once a runtime is idle (`wait_idle`), the counters satisfy two
 //! conservation identities (pinned by tests):
-//! `tasks_spawned == tasks_executed + tasks_panicked`, and — summed over
-//! every locality of a loopback cluster — `parcels_sent ==
-//! parcels_received` (response parcels included).
-//!
-//! The flat [`Snapshot`] is the quick view; the hierarchical,
-//! per-worker view lives in [`crate::introspect`], whose registry this
-//! module populates via `register_runtime_counters`.
+//! `count/spawned == count/cumulative + count/panicked`, and — summed over
+//! every locality of a loopback cluster — `parcels count/sent ==
+//! count/received` (response parcels included). Each per-worker
+//! `count/cumulative` counts the same successful completions as the
+//! locality total, so the workers sum to it exactly.
 
 use crate::introspect::{CounterPath, CounterRegistry, Instance};
 use crate::runtime::Core;
-use crate::sched::Scheduler;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Monotone event counters for one runtime.
 #[derive(Debug, Default)]
-pub struct Counters {
+pub(crate) struct Counters {
     /// Tasks handed to the scheduler.
-    pub tasks_spawned: AtomicUsize,
-    /// Tasks that finished executing.
-    pub tasks_executed: AtomicUsize,
+    pub(crate) tasks_spawned: AtomicUsize,
+    /// Tasks that finished executing without panicking.
+    pub(crate) tasks_executed: AtomicUsize,
     /// Tasks whose closure panicked.
-    pub tasks_panicked: AtomicUsize,
+    pub(crate) tasks_panicked: AtomicUsize,
     /// Future continuations run.
-    pub continuations_run: AtomicUsize,
+    pub(crate) continuations_run: AtomicUsize,
     /// Parcels sent from this locality.
-    pub parcels_sent: AtomicUsize,
+    pub(crate) parcels_sent: AtomicUsize,
     /// Parcels received by this locality.
-    pub parcels_received: AtomicUsize,
-}
-
-/// A point-in-time copy of all counters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Snapshot {
-    /// Tasks handed to the scheduler.
-    pub tasks_spawned: usize,
-    /// Tasks that finished executing.
-    pub tasks_executed: usize,
-    /// Tasks whose closure panicked.
-    pub tasks_panicked: usize,
-    /// Future continuations run.
-    pub continuations_run: usize,
-    /// Successful steal operations (each may move a whole batch).
-    pub tasks_stolen: usize,
-    /// Total pushes observed by the scheduler.
-    pub sched_pushes: usize,
-    /// Victim queues probed while stealing (hits and misses).
-    pub steal_attempts: usize,
-    /// Successful batched steals (`steal_batch_and_pop` into a deque).
-    pub steal_batches: usize,
-    /// Times a worker parked on the scheduler condvar.
-    pub worker_parks: usize,
-    /// Notify syscalls issued to wake parked workers.
-    pub worker_wakes: usize,
-    /// Parcels sent.
-    pub parcels_sent: usize,
-    /// Parcels received.
-    pub parcels_received: usize,
-}
-
-impl Counters {
-    /// Capture a snapshot, merging in the scheduler's own counters.
-    pub fn snapshot(&self, sched: &Scheduler) -> Snapshot {
-        Snapshot {
-            tasks_spawned: self.tasks_spawned.load(Ordering::Relaxed),
-            tasks_executed: self.tasks_executed.load(Ordering::Relaxed),
-            tasks_panicked: self.tasks_panicked.load(Ordering::Relaxed),
-            continuations_run: self.continuations_run.load(Ordering::Relaxed),
-            tasks_stolen: sched.stat_stolen.load(Ordering::Relaxed),
-            sched_pushes: sched.stat_pushed.load(Ordering::Relaxed),
-            steal_attempts: sched.stat_steal_attempts.load(Ordering::Relaxed),
-            steal_batches: sched.stat_steal_batches.load(Ordering::Relaxed),
-            worker_parks: sched.stat_parks.load(Ordering::Relaxed),
-            worker_wakes: sched.stat_wakes.load(Ordering::Relaxed),
-            parcels_sent: self.parcels_sent.load(Ordering::Relaxed),
-            parcels_received: self.parcels_received.load(Ordering::Relaxed),
-        }
-    }
+    pub(crate) parcels_received: AtomicUsize,
 }
 
 /// Per-worker execution stats (one per scheduler worker, owned by the
@@ -91,15 +42,16 @@ impl Counters {
 /// counter paths.
 #[derive(Debug, Default)]
 pub(crate) struct WorkerStat {
-    /// Tasks this worker ran to completion (panicked or not).
+    /// Tasks this worker ran to completion without panicking.
     pub(crate) tasks_executed: AtomicUsize,
-    /// Wall time this worker spent inside tasks, nanoseconds.
+    /// Wall time this worker spent inside tasks, panicked or not,
+    /// nanoseconds.
     pub(crate) busy_ns: AtomicU64,
 }
 
 /// Populate `registry` with the standard counter set of one runtime:
-/// locality-total counters for every [`Snapshot`] field plus per-worker
-/// cumulative-task and busy-time counters. Probes capture the core and
+/// locality-total task, continuation, parcel and scheduler counters plus
+/// per-worker cumulative-task and busy-time counters. Probes capture the core and
 /// evaluate a relaxed atomic load at snapshot time.
 pub(crate) fn register_runtime_counters(registry: &CounterRegistry, locality: u32, core: &Arc<Core>) {
     macro_rules! counter {
@@ -186,99 +138,66 @@ pub(crate) fn register_runtime_counters(registry: &CounterRegistry, locality: u3
     }
 }
 
-impl Snapshot {
-    /// Interval delta `self - earlier`, field by field (saturating, so a
-    /// stale `earlier` from before a counter reset can't underflow).
-    pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
-        Snapshot {
-            tasks_spawned: self.tasks_spawned.saturating_sub(earlier.tasks_spawned),
-            tasks_executed: self.tasks_executed.saturating_sub(earlier.tasks_executed),
-            tasks_panicked: self.tasks_panicked.saturating_sub(earlier.tasks_panicked),
-            continuations_run: self
-                .continuations_run
-                .saturating_sub(earlier.continuations_run),
-            tasks_stolen: self.tasks_stolen.saturating_sub(earlier.tasks_stolen),
-            sched_pushes: self.sched_pushes.saturating_sub(earlier.sched_pushes),
-            steal_attempts: self.steal_attempts.saturating_sub(earlier.steal_attempts),
-            steal_batches: self.steal_batches.saturating_sub(earlier.steal_batches),
-            worker_parks: self.worker_parks.saturating_sub(earlier.worker_parks),
-            worker_wakes: self.worker_wakes.saturating_sub(earlier.worker_wakes),
-            parcels_sent: self.parcels_sent.saturating_sub(earlier.parcels_sent),
-            parcels_received: self.parcels_received.saturating_sub(earlier.parcels_received),
-        }
-    }
-
-    /// Render as `(hpx-style path, value)` pairs.
-    pub fn as_paths(&self) -> Vec<(&'static str, usize)> {
-        vec![
-            ("/threads/count/cumulative", self.tasks_executed),
-            ("/threads/count/spawned", self.tasks_spawned),
-            ("/threads/count/panicked", self.tasks_panicked),
-            ("/threads/count/stolen", self.tasks_stolen),
-            ("/threads/count/pushes", self.sched_pushes),
-            ("/threads/count/steal-attempts", self.steal_attempts),
-            ("/threads/count/steal-batches", self.steal_batches),
-            ("/threads/count/parks", self.worker_parks),
-            ("/threads/count/wakes", self.worker_wakes),
-            ("/lcos/count/continuations", self.continuations_run),
-            ("/parcels/count/sent", self.parcels_sent),
-            ("/parcels/count/received", self.parcels_received),
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::SchedulerPolicy;
+    use crate::introspect::CounterSnapshot;
+    use crate::runtime::Runtime;
+
+    /// The standalone runtime's `/{object}{locality#0/total}/{name}`.
+    fn read(snap: &CounterSnapshot, object: &str, name: &str) -> u64 {
+        let path = CounterPath::new(object, 0, Instance::Total, name);
+        snap.get(&path).unwrap_or_else(|| panic!("{path} is registered"))
+    }
 
     #[test]
     fn snapshot_reflects_counts() {
-        let c = Counters::default();
+        let rt = Runtime::builder().worker_threads(1).build();
+        let c = &rt.core().counters;
         c.tasks_spawned.fetch_add(3, Ordering::Relaxed);
         c.parcels_sent.fetch_add(2, Ordering::Relaxed);
-        let s = Scheduler::new(1, SchedulerPolicy::LocalPriority);
-        let snap = c.snapshot(&s);
-        assert_eq!(snap.tasks_spawned, 3);
-        assert_eq!(snap.parcels_sent, 2);
-        assert_eq!(snap.tasks_stolen, 0);
+        let snap = rt.counter_snapshot();
+        assert_eq!(read(&snap, "threads", "count/spawned"), 3);
+        assert_eq!(read(&snap, "parcels", "count/sent"), 2);
+        assert_eq!(read(&snap, "threads", "count/stolen"), 0);
+        rt.shutdown();
     }
 
     #[test]
     fn paths_cover_all_counters() {
-        let c = Counters::default();
-        let s = Scheduler::new(1, SchedulerPolicy::LocalPriority);
-        let paths = c.snapshot(&s).as_paths();
-        assert_eq!(paths.len(), 12);
-        assert!(paths.iter().any(|(p, _)| *p == "/threads/count/cumulative"));
-        assert!(paths.iter().any(|(p, _)| *p == "/threads/count/parks"));
-        assert!(paths.iter().any(|(p, _)| *p == "/threads/count/steal-batches"));
-    }
-
-    #[test]
-    fn snapshot_delta_is_fieldwise_and_saturating() {
-        let c = Counters::default();
-        let s = Scheduler::new(1, SchedulerPolicy::LocalPriority);
-        c.tasks_spawned.fetch_add(5, Ordering::Relaxed);
-        let before = c.snapshot(&s);
-        c.tasks_spawned.fetch_add(7, Ordering::Relaxed);
-        c.parcels_sent.fetch_add(2, Ordering::Relaxed);
-        let after = c.snapshot(&s);
-        let d = after.delta(&before);
-        assert_eq!(d.tasks_spawned, 7);
-        assert_eq!(d.parcels_sent, 2);
-        assert_eq!(d.tasks_executed, 0);
-        // reversed order saturates to zero instead of wrapping
-        let rev = before.delta(&after);
-        assert_eq!(rev.tasks_spawned, 0);
+        let rt = Runtime::builder().worker_threads(1).build();
+        let snap = rt.counter_snapshot();
+        let paths = [
+            ("threads", "count/cumulative"),
+            ("threads", "count/spawned"),
+            ("threads", "count/panicked"),
+            ("threads", "count/stolen"),
+            ("threads", "count/pushes"),
+            ("threads", "count/steal-attempts"),
+            ("threads", "count/steal-batches"),
+            ("threads", "count/parks"),
+            ("threads", "count/wakes"),
+            ("lcos", "count/continuations"),
+            ("parcels", "count/sent"),
+            ("parcels", "count/received"),
+        ];
+        for (object, name) in paths {
+            read(&snap, object, name);
+        }
+        let non_latency_totals = snap
+            .iter()
+            .filter(|(p, _)| p.instance == Instance::Total && p.object != "latency")
+            .count();
+        assert_eq!(non_latency_totals, paths.len());
+        rt.shutdown();
     }
 
     #[test]
     fn task_conservation_after_wait_idle() {
         // spawned == executed + panicked once the runtime is idle, even
         // with panicking tasks in the mix.
-        let rt = crate::runtime::Runtime::builder().worker_threads(2).build();
-        let before = rt.perf_snapshot();
+        let rt = Runtime::builder().worker_threads(2).build();
+        let before = rt.counter_snapshot();
         for i in 0..40 {
             rt.spawn(move || {
                 if i % 10 == 0 {
@@ -287,32 +206,37 @@ mod tests {
             });
         }
         rt.wait_idle();
-        let d = rt.perf_snapshot().delta(&before);
-        assert_eq!(d.tasks_spawned, 40);
-        assert_eq!(d.tasks_panicked, 4);
-        assert_eq!(
-            d.tasks_spawned,
-            d.tasks_executed + d.tasks_panicked,
-            "conservation: {d:?}"
+        let d = rt.counter_snapshot().delta(&before);
+        let (spawned, executed, panicked) = (
+            read(&d, "threads", "count/spawned"),
+            read(&d, "threads", "count/cumulative"),
+            read(&d, "threads", "count/panicked"),
         );
+        assert_eq!(spawned, 40);
+        assert_eq!(panicked, 4);
+        assert_eq!(spawned, executed + panicked, "conservation: {d:?}");
         rt.shutdown();
     }
 
     #[test]
-    fn registry_mirrors_flat_snapshot() {
-        use crate::introspect::{CounterPath, Instance};
-        let rt = crate::runtime::Runtime::builder().worker_threads(2).build();
-        for _ in 0..25 {
-            rt.spawn(|| {});
+    fn per_worker_cumulative_sums_to_locality_total() {
+        // `count/cumulative` means successful completions at every
+        // instance, so the workers sum to the locality total exactly even
+        // when tasks panic.
+        let rt = Runtime::builder().worker_threads(2).build();
+        for i in 0..25 {
+            rt.spawn(move || {
+                if i % 5 == 0 {
+                    panic!("intentional test panic");
+                }
+            });
         }
         rt.wait_idle();
         let snap = rt.counter_snapshot();
-        let flat = rt.perf_snapshot();
-        let total =
-            |name: &str| snap.get(&CounterPath::new("threads", 0, Instance::Total, name));
-        assert_eq!(total("count/spawned"), Some(flat.tasks_spawned as u64));
-        assert_eq!(total("count/cumulative"), Some(flat.tasks_executed as u64));
-        // per-worker cumulative sums to the locality total
+        assert_eq!(read(&snap, "threads", "count/spawned"), 25);
+        assert_eq!(read(&snap, "threads", "count/panicked"), 5);
+        let cumulative = read(&snap, "threads", "count/cumulative");
+        assert_eq!(cumulative, 20);
         let per_worker: u64 = (0..rt.workers())
             .map(|w| {
                 snap.get(&CounterPath::new(
@@ -324,12 +248,8 @@ mod tests {
                 .unwrap()
             })
             .sum();
-        assert!(
-            per_worker >= flat.tasks_executed as u64,
-            "worker stats include panicked tasks too: {per_worker} vs {}",
-            flat.tasks_executed
-        );
-        // 12 flat totals + 12 latency totals (4 channels × p50/p99/count)
+        assert_eq!(per_worker, cumulative);
+        // 12 runtime totals + 12 latency totals (4 channels × p50/p99/count)
         // + per worker: 2 thread stats and 2 task-latency quantiles
         assert_eq!(snap.len(), 24 + 4 * rt.workers());
         rt.shutdown();

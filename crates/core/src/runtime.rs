@@ -70,18 +70,22 @@ impl Core {
             worker,
             end.duration_since(start).as_nanos() as u64,
         );
-        if let Some(ws) = self.worker_stats.get(worker) {
-            ws.tasks_executed.fetch_add(1, Ordering::Relaxed);
+        let stat = self.worker_stats.get(worker);
+        if let Some(ws) = stat {
             ws.busy_ns
                 .fetch_add(end.duration_since(start).as_nanos() as u64, Ordering::Relaxed);
         }
-        // `tasks_executed` counts successful completions only, so the
-        // conservation identity `spawned == executed + panicked` holds
-        // once the runtime is idle.
+        // `tasks_executed` counts successful completions only, at the
+        // locality total and per worker alike, so the conservation
+        // identity `spawned == executed + panicked` holds once the
+        // runtime is idle and the workers sum to the total.
         // A panic is counted and traced here; the panic hook has
         // already reported its message.
         if result.is_ok() {
             self.counters.tasks_executed.fetch_add(1, Ordering::Relaxed);
+            if let Some(ws) = stat {
+                ws.tasks_executed.fetch_add(1, Ordering::Relaxed);
+            }
         } else {
             self.counters.tasks_panicked.fetch_add(1, Ordering::Relaxed);
             self.tracer.instant(worker, EventKind::User("task-panicked"), 0);
@@ -382,15 +386,10 @@ impl Runtime {
         &self.inner.topology
     }
 
-    /// Runtime performance counters (HPX performance-counter analogue).
-    pub fn counters(&self) -> &Counters {
+    /// The atomics behind this runtime's counters, for the code that
+    /// bumps them; read them through [`Runtime::counter_snapshot`].
+    pub(crate) fn counters(&self) -> &Counters {
         &self.inner.core.counters
-    }
-
-    /// A point-in-time snapshot of all runtime counters, including the
-    /// scheduler's steal statistics.
-    pub fn perf_snapshot(&self) -> crate::perf::Snapshot {
-        self.inner.core.counters.snapshot(&self.inner.core.sched)
     }
 
     /// The structured event tracer (see [`crate::introspect`]): typed
@@ -661,9 +660,9 @@ mod tests {
             rt.spawn(|| {});
         }
         rt.wait_idle();
-        let snap = rt.counters().snapshot(&rt.inner.core.sched);
-        assert!(snap.tasks_spawned >= 10);
-        assert!(snap.tasks_executed >= 10);
+        let snap = rt.counter_snapshot();
+        assert!(snap.total("threads", "count/spawned") >= 10);
+        assert!(snap.total("threads", "count/cumulative") >= 10);
         rt.shutdown();
     }
 

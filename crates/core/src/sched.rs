@@ -203,7 +203,7 @@ pub struct Scheduler {
     /// inboxes when stealing is enabled). Counterpart of the per-worker
     /// `private` counts; together they drive the park predicate.
     shared: AtomicUsize,
-    /// Monotone counters for [`crate::perf`].
+    /// Monotone counters, read through the runtime's counter registry.
     pub(crate) stat_pushed: AtomicUsize,
     /// Successful steal operations (each may move a whole batch).
     pub(crate) stat_stolen: AtomicUsize,

@@ -81,8 +81,9 @@ impl DesResult {
 
     /// Render the outcome through the native counter schema so simulated
     /// and measured runs diff path-for-path. The snapshot timestamp is the
-    /// virtual makespan; counter names mirror
-    /// `parallex::perf::register_runtime_counters` (`/threads{...}` paths).
+    /// virtual makespan; counter names mirror the `/threads{...}` paths a
+    /// native runtime registers in its
+    /// [`Runtime::counter_registry`](parallex::runtime::Runtime::counter_registry).
     pub fn as_snapshot(&self, locality: u32) -> CounterSnapshot {
         let mut entries = Vec::new();
         let total: usize = self.tasks_run.iter().sum();

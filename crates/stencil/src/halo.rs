@@ -36,7 +36,6 @@ use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Halo-push send attempts before giving up (a transient transport
@@ -66,19 +65,12 @@ struct MailboxState<V: Send + 'static> {
 /// A mailbox for neighbour data keyed by `(side, step)`.
 pub struct HaloMailbox<V: Send + 'static> {
     state: Mutex<MailboxState<V>>,
-    /// `take`s whose value had already arrived (fully overlapped
-    /// communication).
-    ready_takes: AtomicUsize,
-    /// `take`s that parked a waiter (exposed communication).
-    parked_takes: AtomicUsize,
 }
 
 impl<V: Send + 'static> Default for HaloMailbox<V> {
     fn default() -> Self {
         HaloMailbox {
             state: Mutex::new(MailboxState { values: HashMap::new(), waiters: HashMap::new() }),
-            ready_takes: AtomicUsize::new(0),
-            parked_takes: AtomicUsize::new(0),
         }
     }
 }
@@ -107,7 +99,11 @@ impl<V: Send + 'static> HaloMailbox<V> {
         }
     }
 
-    /// Future of the value for `(side, step)` (consumer side).
+    /// Future of the value for `(side, step)` (consumer side). Counts the
+    /// take on `loc` as ready if the value had already arrived, parked
+    /// otherwise: `/halo{locality#L/total}/count/ready-takes` and
+    /// `count/parked-takes`, the direct overlap measurement behind the
+    /// latency-hiding tests.
     pub fn take(&self, loc: &Locality, side: Side, step: u64) -> Future<V> {
         let mut promise = loc.runtime().make_promise();
         let future = promise.future();
@@ -121,28 +117,16 @@ impl<V: Send + 'static> HaloMailbox<V> {
                 }
             }
         };
+        loc.count_halo_take(ready.is_some());
         match ready {
             Some(v) => {
-                self.ready_takes.fetch_add(1, Ordering::Relaxed);
                 let mut p = loc.runtime().make_promise();
                 let f = p.future();
                 p.set_value(v);
                 f
             }
-            None => {
-                self.parked_takes.fetch_add(1, Ordering::Relaxed);
-                future
-            }
+            None => future,
         }
-    }
-
-    /// `(already_arrived, had_to_wait)` take counts — the direct overlap
-    /// measurement behind the latency-hiding tests.
-    pub fn take_stats(&self) -> (usize, usize) {
-        (
-            self.ready_takes.load(Ordering::Relaxed),
-            self.parked_takes.load(Ordering::Relaxed),
-        )
     }
 
     /// Buffered (delivered but unconsumed) values.
@@ -233,22 +217,6 @@ impl<V: Serialize + Clone + Send + 'static> HaloDriver<V> {
     /// GID of rank `i`'s mailbox, hosted or not.
     pub fn mailbox_gid(&self, i: usize) -> Gid {
         self.mailbox_gids[i]
-    }
-
-    /// Aggregate `(already_arrived, had_to_wait)` halo-take counts over
-    /// the hosted ranks — the direct measure of how well communication
-    /// overlapped compute (the paper's latency hiding): a high first
-    /// component means halos were in flight while the interior computed.
-    pub fn halo_stats(&self) -> (usize, usize) {
-        self.mailbox_gids
-            .iter()
-            .map(|&gid| {
-                self.cluster
-                    .get_component::<HaloMailbox<V>>(gid)
-                    .map(|m| m.take_stats())
-                    .unwrap_or((0, 0))
-            })
-            .fold((0, 0), |(a, b), (c, d)| (a + c, b + d))
     }
 
     /// Run every step on the hosted ranks, each as a task on its own
@@ -372,6 +340,15 @@ impl<V: Serialize + Clone + Send + 'static> Rank<V> {
 mod tests {
     use super::*;
 
+    /// `(ready, parked)` halo takes counted on the cluster's registry.
+    fn takes(c: &Cluster) -> (u64, u64) {
+        let snap = c.counter_snapshot();
+        (
+            snap.total("halo", "count/ready-takes"),
+            snap.total("halo", "count/parked-takes"),
+        )
+    }
+
     #[test]
     fn put_then_take_is_ready() {
         let c = Cluster::new(1, 1);
@@ -381,7 +358,7 @@ mod tests {
         let f = m.take(&c.locality(0), Side::Left, 7);
         assert_eq!(f.get(), vec![1.0, 2.0]);
         assert_eq!(m.buffered(), 0);
-        assert_eq!(m.take_stats(), (1, 0));
+        assert_eq!(takes(&c), (1, 0));
         c.shutdown();
     }
 
@@ -393,7 +370,7 @@ mod tests {
         assert!(!f.is_ready());
         m.put(Side::Right, 0, -9);
         assert_eq!(f.get(), -9);
-        assert_eq!(m.take_stats(), (0, 1));
+        assert_eq!(takes(&c), (0, 1));
         c.shutdown();
     }
 

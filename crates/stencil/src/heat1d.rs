@@ -74,12 +74,6 @@ impl Heat1dSolver {
         Heat1dSolver { params, halo }
     }
 
-    /// Aggregate `(already_arrived, had_to_wait)` halo-take statistics
-    /// over the hosted localities (see [`HaloDriver::halo_stats`]).
-    pub fn halo_stats(&self) -> (usize, usize) {
-        self.halo.halo_stats()
-    }
-
     /// GID of locality `i`'s halo mailbox, hosted or not.
     pub fn store_gid(&self, i: usize) -> Gid {
         self.halo.mailbox_gid(i)
@@ -242,12 +236,7 @@ mod tests {
         install(&cluster);
         let solver = Heat1dSolver::new(&cluster, params);
         let got = solver.run(bump);
-        let wire_parcels: u64 = cluster
-            .counter_snapshot()
-            .iter()
-            .filter(|(p, _)| p.object == "parcels" && p.name == "count/wire-sent")
-            .map(|(_, v)| v)
-            .sum();
+        let wire_parcels = cluster.counter_snapshot().total("parcels", "count/wire-sent");
         cluster.shutdown();
         assert_eq!(got.len(), 64);
         assert!(max_abs_diff(&got, &want) < 1e-14, "{}", max_abs_diff(&got, &want));

@@ -73,12 +73,6 @@ impl Jacobi2dDist {
         Jacobi2dDist { params, halo }
     }
 
-    /// Aggregate `(already_arrived, had_to_wait)` halo statistics over
-    /// the hosted localities (see [`HaloDriver::halo_stats`]).
-    pub fn halo_stats(&self) -> (usize, usize) {
-        self.halo.halo_stats()
-    }
-
     /// GID of locality `i`'s row mailbox, hosted or not.
     pub fn store_gid(&self, i: usize) -> Gid {
         self.halo.mailbox_gid(i)
@@ -225,12 +219,9 @@ mod tests {
         install(&cluster);
         let solver = Jacobi2dDist::new(&cluster, params);
         let got = solver.run(spot);
-        let injected_panics: u64 = cluster
+        let injected_panics = cluster
             .counter_snapshot()
-            .iter()
-            .filter(|(p, _)| p.object == "chaos" && p.name == "count/injected-panics")
-            .map(|(_, v)| v)
-            .sum();
+            .total("chaos", "count/injected-panics");
         cluster.shutdown();
         assert_eq!(got, want, "chaos run diverged from the serial solver");
         assert_eq!(injected_panics, 6, "two replayed panics per locality");
@@ -246,10 +237,12 @@ mod tests {
         }));
         let solver = Jacobi2dDist::new(&cluster, params);
         let got = solver.run(spot);
-        let (ready, parked) = solver.halo_stats();
+        let snap = cluster.counter_snapshot();
+        let takes =
+            snap.total("halo", "count/ready-takes") + snap.total("halo", "count/parked-takes");
         cluster.shutdown();
         assert_eq!(got, run_serial(params, spot));
         // 3 localities: middle has 2 neighbours, ends 1 each = 4 takes/step.
-        assert_eq!(ready + parked, 4 * params.steps);
+        assert_eq!(takes, 4 * params.steps as u64);
     }
 }

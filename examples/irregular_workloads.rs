@@ -29,7 +29,7 @@ fn main() {
         let got = uts_count(&rt, params);
         let secs = t.elapsed();
         assert_eq!(got, want);
-        let steals = rt.perf_snapshot().tasks_stolen;
+        let steals = rt.counter_snapshot().total("threads", "count/stolen");
         println!("  {name}: {secs:>8.4}s  ({steals} steals)");
         rt.shutdown();
     }

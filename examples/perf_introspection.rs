@@ -8,6 +8,7 @@
 //! ```
 
 use parallex::algorithms::par;
+use parallex::introspect::render_counters;
 use parallex::prelude::*;
 use parallex_machine::spec::ProcessorId;
 use parallex_perfsim::counters::measure_reference;
@@ -46,11 +47,8 @@ fn main() {
     let rt = Runtime::builder().worker_threads(4).build();
     let mut field = vec![0.0f64; 1 << 18];
     par(&rt).for_each_mut(&mut field, |i, x| *x = (i as f64).sqrt());
-    let snap = rt.perf_snapshot();
     println!("\nRuntime counters after one parallel sweep:");
-    for (path, value) in snap.as_paths() {
-        println!("  {path:<32} {value}");
-    }
+    print!("{}", render_counters(&rt.counter_snapshot()));
     rt.shutdown();
 
     // ---- grain size on the DES scheduler --------------------------------

@@ -55,8 +55,8 @@ fn main() {
     println!("field energy = {energy:.2}");
 
     // Runtime introspection (HPX performance counters).
-    let snap = rt.perf_snapshot();
-    println!("tasks executed: {}", snap.tasks_executed);
+    let snap = rt.counter_snapshot();
+    println!("tasks executed: {}", snap.total("threads", "count/cumulative"));
     rt.shutdown();
     println!("done.");
 }

@@ -111,8 +111,9 @@ fn interior_compute_overlaps_halo_latency() {
     // real runtime (wall-clock comparisons are flaky under CI load): with
     // a per-parcel delay well below the interior-compute time, nearly all
     // halo `take`s must find their value already delivered — i.e. the
-    // communication happened while the interior computed. The solver
-    // counts exactly that.
+    // communication happened while the interior computed. Each locality
+    // counts exactly that at `/halo{locality#L/total}/count/ready-takes`
+    // and `count/parked-takes`.
     use std::time::Duration;
     let steps = 12;
     // ~2M cells per locality of interior compute (milliseconds even in
@@ -126,9 +127,10 @@ fn interior_compute_overlaps_halo_latency() {
         cluster.set_network_delay(std::sync::Arc::new(move |_p| Duration::from_millis(1)));
         let solver = Heat1dSolver::new(&cluster, Heat1dParams::new(points, steps, 0.25));
         let out = solver.run(init);
-        let stats = solver.halo_stats();
+        let snap = cluster.counter_snapshot();
         cluster.shutdown();
-        (out, stats)
+        let takes = |name| snap.total("halo", name) as usize;
+        (out, (takes("count/ready-takes"), takes("count/parked-takes")))
     };
 
     // Large blocks: interior compute dwarfs the wire, halos overlap.

@@ -61,12 +61,14 @@ fn jacobi_matches_serial_reference_through_many_steps() {
 #[test]
 fn runtime_counters_reflect_stencil_work() {
     let rt = Runtime::builder().worker_threads(2).build();
-    let before = rt.perf_snapshot();
+    let before = rt.counter_snapshot();
     let mut j = Jacobi2d::new(64, 64, 0.0, |_, _| 1.0);
     j.run(5, &par(&rt));
-    let after = rt.perf_snapshot();
-    assert!(after.tasks_executed > before.tasks_executed);
-    assert!(after.tasks_spawned >= after.tasks_executed);
+    let after = rt.counter_snapshot();
+    let executed =
+        |snap: &parallex::introspect::CounterSnapshot| snap.total("threads", "count/cumulative");
+    assert!(executed(&after) > executed(&before));
+    assert!(after.total("threads", "count/spawned") >= executed(&after));
     rt.shutdown();
 }
 

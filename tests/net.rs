@@ -207,12 +207,7 @@ fn tcp_cluster_conserves_parcels_under_load() {
     }
     cluster.wait_idle();
     let snap = cluster.counter_snapshot();
-    let total = |name: &str| -> u64 {
-        snap.iter()
-            .filter(|(p, _)| p.object == "parcels" && p.name == name)
-            .map(|(_, v)| v)
-            .sum()
-    };
+    let total = |name| snap.total("parcels", name);
     let (sent, received) = (total("count/wire-sent"), total("count/wire-received"));
     // Every request crossed the wire and produced a wire response.
     assert!(sent >= 400, "200 requests + 200 responses expected, saw {sent}");
@@ -254,12 +249,9 @@ fn corrupt_stream_is_counted_on_the_cluster_registry() {
         );
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
-    let drops: u64 = cluster
+    let drops = cluster
         .counter_snapshot()
-        .iter()
-        .filter(|(p, _)| p.name == "count/dropped/corrupt-frame")
-        .map(|(_, v)| v)
-        .sum();
+        .total("parcels", "count/dropped/corrupt-frame");
     assert_eq!(drops, 1, "only the corrupted stream is dropped");
     cluster.shutdown();
 }
@@ -344,13 +336,6 @@ fn one_rank_per_cluster<S: Sync>(
     (blocks.concat(), CounterSnapshot::merge(snapshots))
 }
 
-fn injected_panics(snap: &CounterSnapshot) -> u64 {
-    snap.iter()
-        .filter(|(p, _)| p.object == "chaos" && p.name == "count/injected-panics")
-        .map(|(_, v)| v)
-        .sum()
-}
-
 #[test]
 fn clusters_hosting_one_rank_each_solve_bitwise_like_one_cluster() {
     let reference = Cluster::new(3, 2);
@@ -371,10 +356,14 @@ fn clusters_hosting_one_rank_each_solve_bitwise_like_one_cluster() {
     };
     let (raw, snap) = solve(&Stack::Tcp);
     assert_eq!(raw, want, "TCP ranks diverged from the in-process cluster");
-    assert_eq!(injected_panics(&snap), 0);
+    assert_eq!(snap.total("chaos", "count/injected-panics"), 0);
     let (chaos, snap) = solve(&Stack::Chaos(ChaosSpec::pinned()));
     assert_eq!(chaos, want, "chaos ranks diverged from the in-process cluster");
-    assert_eq!(injected_panics(&snap), 3, "one injected panic per rank");
+    assert_eq!(
+        snap.total("chaos", "count/injected-panics"),
+        3,
+        "one injected panic per rank"
+    );
 }
 
 #[test]
@@ -398,10 +387,14 @@ fn jacobi2d_on_clusters_hosting_one_rank_each_matches_the_serial_solver_bitwise(
     };
     let (raw, snap) = solve(&Stack::Tcp);
     assert_eq!(raw, want, "TCP ranks diverged from the serial solver");
-    assert_eq!(injected_panics(&snap), 0);
+    assert_eq!(snap.total("chaos", "count/injected-panics"), 0);
     let (chaos, snap) = solve(&Stack::Chaos(ChaosSpec::pinned()));
     assert_eq!(chaos, want, "chaos ranks diverged from the serial solver");
-    assert_eq!(injected_panics(&snap), 3, "one injected panic per rank");
+    assert_eq!(
+        snap.total("chaos", "count/injected-panics"),
+        3,
+        "one injected panic per rank"
+    );
 }
 
 #[test]

@@ -182,15 +182,9 @@ fn wait_idle_settles_exactly_once_deliveries_under_retransmits() {
     // exactly once.
     assert_eq!(*c.get_component::<Mutex<i64>>(gid).unwrap().lock(), 100);
     let snap = c.counter_snapshot();
-    let total = |name: &str| -> u64 {
-        snap.iter()
-            .filter(|(p, _)| p.object == "resilience" && p.name == name)
-            .map(|(_, v)| v)
-            .sum()
-    };
     assert_eq!(
-        total("data/sent"),
-        total("data/delivered"),
+        snap.total("resilience", "data/sent"),
+        snap.total("resilience", "data/delivered"),
         "ledger must balance once idle"
     );
     c.shutdown();

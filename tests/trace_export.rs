@@ -87,17 +87,10 @@ fn traced_distributed_run_exports_chrome_json() {
 #[test]
 fn cluster_counters_conserve_and_match_legacy_snapshot() {
     let (_, delta, _) = traced_heat1d();
-    let sum = |object: &str, name: &str| -> u64 {
-        delta
-            .iter()
-            .filter(|(p, _)| p.object == object && p.name == name && p.instance == Instance::Total)
-            .map(|(_, v)| v)
-            .sum()
-    };
-    assert_eq!(sum("parcels", "count/sent"), sum("parcels", "count/received"));
+    assert_eq!(delta.total("parcels", "count/sent"), delta.total("parcels", "count/received"));
     assert_eq!(
-        sum("threads", "count/spawned"),
-        sum("threads", "count/cumulative") + sum("threads", "count/panicked"),
+        delta.total("threads", "count/spawned"),
+        delta.total("threads", "count/cumulative") + delta.total("threads", "count/panicked"),
     );
     // Per-worker cumulative counts add up to each locality's total.
     for loc in 0..LOCALITIES as u32 {
