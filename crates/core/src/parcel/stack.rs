@@ -64,3 +64,79 @@ pub fn build_stack(
     rel.attach_inner(inner);
     Ok((rel, tcp))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::agas::Gid;
+    use crate::parcel::Parcel;
+    use bytes::Bytes;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Once, Weak};
+    use std::time::{Duration, Instant};
+
+    fn chaos_stack(locality: u32) -> (Arc<dyn Parcelport>, Arc<TcpParcelport>) {
+        build_stack(locality, &Stack::Chaos(ChaosSpec::pinned()), Arc::new(|_| {})).unwrap()
+    }
+
+    /// Panics raised on the stack's own threads since the hook went in.
+    fn stack_thread_panics() -> usize {
+        static PANICS: AtomicUsize = AtomicUsize::new(0);
+        static HOOK: Once = Once::new();
+        HOOK.call_once(|| {
+            let previous = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                let name = std::thread::current().name().unwrap_or("").to_string();
+                if name.starts_with("parallex-retx-") || name.starts_with("px-tcp-") {
+                    PANICS.fetch_add(1, Ordering::Relaxed);
+                }
+                previous(info);
+            }));
+        });
+        PANICS.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn a_shut_down_stack_is_freed() {
+        let (top, tcp) = chaos_stack(0);
+        let weak = Arc::downgrade(&top);
+        top.shutdown();
+        drop((top, tcp));
+        assert!(weak.upgrade().is_none(), "the shut-down stack is still referenced");
+    }
+
+    #[test]
+    fn stacks_dropped_with_parcels_in_flight_are_freed_without_a_self_join() {
+        let panics = stack_thread_panics();
+        let mut weaks: Vec<Weak<dyn Parcelport>> = Vec::new();
+        for _ in 0..10 {
+            let (a, tcp_a) = chaos_stack(0);
+            let (b, tcp_b) = chaos_stack(1);
+            tcp_a.connect_peer(1, tcp_b.local_addr()).unwrap();
+            tcp_b.connect_peer(0, tcp_a.local_addr()).unwrap();
+            for i in 0..50u64 {
+                for (port, dest) in [(&a, 1), (&b, 0)] {
+                    port.send(Parcel {
+                        source: 1 - dest,
+                        dest_locality: dest,
+                        dest: Gid { origin: dest, lid: 1 },
+                        action: 7,
+                        payload: Bytes::from(i.to_le_bytes().repeat(8)),
+                        response_token: None,
+                    })
+                    .unwrap();
+                }
+            }
+            weaks.push(Arc::downgrade(&a));
+            weaks.push(Arc::downgrade(&b));
+        }
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while weaks.iter().any(|w| w.strong_count() > 0) {
+            assert!(Instant::now() < deadline, "a dropped stack outlived its threads by 1 s");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // A join on the dropping thread panics after the count hits zero.
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(stack_thread_panics(), panics, "a stack thread panicked while the stacks dropped");
+    }
+}

@@ -27,6 +27,7 @@ use super::frame;
 use super::{Parcel, Parcelport, PortEvent, PortSink};
 use crate::error::{Error, Result};
 use crate::introspect::CounterRegistry;
+use crate::util::join_unless_current;
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -104,6 +105,16 @@ struct PeerShared {
     space: Condvar,
 }
 
+impl PeerShared {
+    /// Close the queue: its writer exits once the queue is drained, and
+    /// senders fail fast.
+    fn close(&self) {
+        self.state.lock().closed = true;
+        self.ready.notify_all();
+        self.space.notify_all();
+    }
+}
+
 struct Peer {
     id: u32,
     shared: Arc<PeerShared>,
@@ -126,10 +137,7 @@ impl Inner {
     /// Mark the outgoing queue to `peer` closed so senders fail fast.
     fn close_peer_queue(&self, peer: u32) {
         if let Some(p) = self.peers.read().get(&peer) {
-            let mut q = p.shared.state.lock();
-            q.closed = true;
-            p.shared.ready.notify_all();
-            p.shared.space.notify_all();
+            p.shared.close();
         }
     }
 
@@ -256,6 +264,20 @@ impl TcpParcelport {
         self.inner.peers.write().insert(peer_id, peer);
         Ok(())
     }
+
+    /// Tell every thread of the port to end, without waiting for any:
+    /// close the outgoing queues (the writers flush what is queued, then
+    /// drop their streams) and wake the accept loop with a throwaway
+    /// connection (it severs the readers, then returns).
+    fn stop(&self) {
+        if self.inner.shutdown.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        for peer in self.inner.peers.read().values() {
+            peer.shared.close();
+        }
+        let _ = TcpStream::connect(self.listener_addr);
+    }
 }
 
 impl Parcelport for TcpParcelport {
@@ -339,42 +361,32 @@ impl Parcelport for TcpParcelport {
         );
     }
 
+    /// Stop the port's threads and join them, except the calling thread
+    /// when that is one of them (a sink can run shutdown on a reader).
     fn shutdown(&self) {
-        if self.inner.shutdown.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Close every outgoing queue and join the writers (they flush
-        // what's already queued, then drop their streams).
+        self.stop();
         let peers: Vec<Arc<Peer>> = self.inner.peers.read().values().cloned().collect();
         for peer in &peers {
-            let mut q = peer.shared.state.lock();
-            q.closed = true;
-            drop(q);
-            peer.shared.ready.notify_all();
-            peer.shared.space.notify_all();
-        }
-        for peer in &peers {
             if let Some(t) = peer.writer.lock().take() {
-                let _ = t.join();
+                join_unless_current(t);
             }
         }
-        // Unblock the accept loop with a throwaway connection, then join.
-        let _ = TcpStream::connect(self.listener_addr);
         if let Some(t) = self.accept.lock().take() {
-            let _ = t.join();
+            join_unless_current(t);
         }
-        // Force blocked readers out of `read` and join them.
-        let readers = std::mem::take(&mut *self.readers.lock());
-        for (stream, thread) in readers {
-            let _ = stream.shutdown(Shutdown::Both);
-            let _ = thread.join();
+        // The accept loop severed every reader it registered on its way
+        // out, so each of them is leaving `read`.
+        for (_, t) in std::mem::take(&mut *self.readers.lock()) {
+            join_unless_current(t);
         }
     }
 }
 
+/// Dropping the port only signals its threads: the last owner may be one
+/// of them, so only [`Parcelport::shutdown`] joins.
 impl Drop for TcpParcelport {
     fn drop(&mut self) {
-        self.shutdown();
+        self.stop();
     }
 }
 
@@ -385,6 +397,11 @@ fn accept_loop(
 ) {
     for conn in listener.incoming() {
         if inner.shutdown.load(Ordering::Acquire) {
+            // Force the readers out of `read`: the port may be gone
+            // already, leaving no one else to.
+            for (stream, _) in readers.lock().iter() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
             return;
         }
         let Ok(mut stream) = conn else { continue };
@@ -573,6 +590,11 @@ mod tests {
             assert_eq!(p.action, 7);
         }
         assert_eq!(a.sent(), 20);
+        // The reader counts a parcel just after handing it to the sink.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while b.delivered() < 20 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         assert_eq!(b.delivered(), 20);
         a.shutdown();
         b.shutdown();

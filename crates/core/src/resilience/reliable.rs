@@ -13,15 +13,26 @@
 //! action is [`RELIABLE_DATA`] and whose payload prepends
 //! `[seq u64][orig action u32][flags u8][token u64][fnv1a32 u32]` to the
 //! original payload. Acks are [`RELIABLE_ACK`] parcels carrying a list
-//! of acknowledged sequence numbers (batched by a delayed-ack window so
-//! the fault-free overhead stays low). Actions listed in
+//! of acknowledged sequence numbers: the first parcel to arrive opens a
+//! batch and wakes the maintenance thread, and whatever else lands
+//! before that thread runs rides the same ack. Actions listed in
 //! [`ReliableConfig::bypass_actions`] (heartbeats) skip the layer
 //! entirely: liveness probes must not be healed into lies.
+//!
+//! Retransmit timers adapt per peer (RFC 6298): each ack of a parcel
+//! sent once is a round-trip sample feeding a smoothed estimate `SRTT`
+//! and its deviation `RTTVAR`; a retransmitted parcel gives no sample,
+//! since its ack cannot say which copy it answers (Karn's rule). The
+//! timeout is `SRTT + 4·RTTVAR` clamped to `[1 ms, 50 ms]`, 50 ms before
+//! a peer's first sample, and doubles with every retransmit of a parcel
+//! up to that 50 ms cap. The maintenance thread sleeps until the
+//! earliest retransmit deadline, or 50 ms while nothing is unacked.
 
 use crate::error::{Error, Result};
 use crate::introspect::CounterRegistry;
 use crate::parcel::frame::{fnv1a32, fnv1a32_with};
 use crate::parcel::{ActionId, Parcel, Parcelport, PortEvent, PortSink};
+use crate::util::join_unless_current;
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -42,17 +53,21 @@ const WRAP_HEADER: usize = 8 + 4 + 1 + 8 + 4;
 
 const WRAP_FLAG_TOKEN: u8 = 0b0000_0001;
 
+/// Floor of the retransmit timeout: below it a loopback estimate would
+/// resend parcels that are merely queued behind a write.
+const RTO_MIN: Duration = Duration::from_millis(1);
+
+/// Ceiling of the retransmit timeout and of its backoff, the timeout
+/// before a peer's first sample, and the maintenance thread's sleep
+/// while nothing is unacked.
+const RTO_MAX: Duration = Duration::from_millis(50);
+
 /// Tuning knobs for [`ReliableParcelport`].
 #[derive(Clone, Debug)]
 pub struct ReliableConfig {
-    /// Retransmit an unacked parcel after this long.
-    pub retransmit_timeout: Duration,
     /// Give up and declare the peer lost after this many retransmits of
     /// one parcel.
     pub max_retransmits: u32,
-    /// Delayed-ack window: acks accumulate for up to this long before a
-    /// batch ack parcel is sent.
-    pub ack_flush: Duration,
     /// Actions sent around the layer, unsequenced and unacked
     /// (heartbeats — healing liveness probes would defeat them).
     pub bypass_actions: Vec<ActionId>,
@@ -61,9 +76,7 @@ pub struct ReliableConfig {
 impl Default for ReliableConfig {
     fn default() -> Self {
         ReliableConfig {
-            retransmit_timeout: Duration::from_millis(50),
             max_retransmits: 40,
-            ack_flush: Duration::from_millis(1),
             bypass_actions: vec![super::heartbeat::HEARTBEAT_ACTION],
         }
     }
@@ -73,6 +86,37 @@ struct Unacked {
     parcel: Parcel, // the wrapped carrier, ready to resend
     sent_at: Instant,
     attempts: u32,
+}
+
+/// One peer's round-trip estimate (RFC 6298 §2).
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Rtt {
+    srtt: Duration,
+    rttvar: Duration,
+}
+
+impl Rtt {
+    /// The estimate after the first sample `r`.
+    fn first(r: Duration) -> Rtt {
+        Rtt { srtt: r, rttvar: r / 2 }
+    }
+
+    /// Fold in sample `r` with α = 1/8 and β = 1/4; `RTTVAR` moves
+    /// first, against the old `SRTT`.
+    fn update(&mut self, r: Duration) {
+        self.rttvar = self.rttvar * 3 / 4 + self.srtt.abs_diff(r) / 4;
+        self.srtt = self.srtt * 7 / 8 + r / 8;
+    }
+
+    fn rto(&self) -> Duration {
+        (self.srtt + self.rttvar * 4).clamp(RTO_MIN, RTO_MAX)
+    }
+}
+
+/// How long a parcel sent `attempts` times before its latest send waits
+/// for an ack: the timeout doubled per retransmit, capped at [`RTO_MAX`].
+fn backoff(rto: Duration, attempts: u32) -> Duration {
+    rto.saturating_mul(2u32.saturating_pow(attempts)).min(RTO_MAX)
 }
 
 /// Receive-side dedup window for one source peer: everything below
@@ -105,6 +149,23 @@ struct RelState {
     recv: HashMap<u32, RecvWindow>,
     pending_acks: HashMap<u32, Vec<u64>>,
     dead_peers: HashSet<u32>,
+    /// Round-trip estimates of the peers that have given a sample.
+    rtt: HashMap<u32, Rtt>,
+}
+
+impl RelState {
+    /// Retire `(peer, seq)` on its ack, sampling the round trip unless
+    /// the parcel was retransmitted (Karn's rule).
+    fn ack(&mut self, peer: u32, seq: u64, now: Instant) {
+        let Some(entry) = self.unacked.remove(&(peer, seq)) else { return };
+        if entry.attempts == 0 {
+            let r = now.duration_since(entry.sent_at);
+            self.rtt
+                .entry(peer)
+                .and_modify(|rtt| rtt.update(r))
+                .or_insert_with(|| Rtt::first(r));
+        }
+    }
 }
 
 /// The reliability decorator. Wraps any [`Parcelport`]; hand its
@@ -158,6 +219,9 @@ impl ReliableParcelport {
             give_ups: AtomicU64::new(0),
             acks_sent: AtomicU64::new(0),
         });
+        // The thread holds the port only across one pass and one sleep,
+        // so once its last owner lets go the next upgrade fails and the
+        // thread ends: dropping the port needs no signal and no join.
         let weak = Arc::downgrade(&port);
         let handle = std::thread::Builder::new()
             .name(format!("parallex-retx-{local}"))
@@ -166,11 +230,14 @@ impl ReliableParcelport {
                     if port.shutdown.load(Ordering::Acquire) {
                         break;
                     }
-                    port.tick();
-                    let period = port.cfg.ack_flush.min(port.cfg.retransmit_timeout / 4).max(Duration::from_micros(200));
+                    let next = port.tick();
                     let mut st = port.state.lock();
-                    if !port.shutdown.load(Ordering::Acquire) {
-                        port.wake.wait_for(&mut st, period);
+                    // An ack batch or a first unacked parcel that showed
+                    // up since the pass rang a bell nobody was waiting on.
+                    let missed = !st.pending_acks.is_empty()
+                        || (next.is_none() && !st.unacked.is_empty());
+                    if !missed && !port.shutdown.load(Ordering::Acquire) {
+                        port.wake.wait_for(&mut st, next.unwrap_or(RTO_MAX));
                     }
                 }
             })
@@ -191,10 +258,16 @@ impl ReliableParcelport {
         })
     }
 
-    /// The sink to hand to the inner transport.
+    /// The sink to hand to the inner transport. It holds the layer
+    /// weakly, since the layer owns the transport, and drops events that
+    /// arrive once the layer is gone.
     pub fn inbound_sink(self: &Arc<Self>) -> PortSink {
-        let me = self.clone();
-        Arc::new(move |ev| me.on_inbound(ev))
+        let me = Arc::downgrade(self);
+        Arc::new(move |ev| {
+            if let Some(me) = me.upgrade() {
+                me.on_inbound(ev);
+            }
+        })
     }
 
     /// Data parcels sent but not yet acknowledged.
@@ -273,10 +346,11 @@ impl ReliableParcelport {
                     self.corrupt_drops.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
+                let now = Instant::now();
                 let mut st = self.state.lock();
                 for chunk in buf[..buf.len() - 4].chunks_exact(8) {
                     let seq = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-                    st.unacked.remove(&(p.source, seq));
+                    st.ack(p.source, seq, now);
                 }
             }
             PortEvent::Deliver(p) if p.action == RELIABLE_DATA => {
@@ -336,13 +410,16 @@ impl ReliableParcelport {
     }
 
     /// One maintenance pass: flush batched acks, retransmit overdue
-    /// parcels, declare peers dead after `max_retransmits`.
-    fn tick(&self) {
-        let Ok(inner) = self.inner() else { return };
+    /// parcels, declare peers dead after `max_retransmits`. Returns the
+    /// time until the earliest retransmit deadline, or `None` when
+    /// nothing is unacked.
+    fn tick(&self) -> Option<Duration> {
+        let Ok(inner) = self.inner() else { return None };
         let now = Instant::now();
         let mut acks: Vec<(u32, Vec<u64>)> = Vec::new();
         let mut resend: Vec<Parcel> = Vec::new();
         let mut lost: Vec<u32> = Vec::new();
+        let mut next: Option<Duration> = None;
         {
             let mut st = self.state.lock();
             for (peer, seqs) in st.pending_acks.drain() {
@@ -350,19 +427,24 @@ impl ReliableParcelport {
                     acks.push((peer, seqs));
                 }
             }
-            let rto = self.cfg.retransmit_timeout;
             let max = self.cfg.max_retransmits;
             let mut give_up: Vec<u32> = Vec::new();
+            let st = &mut *st;
             for ((peer, _), entry) in st.unacked.iter_mut() {
-                if now.duration_since(entry.sent_at) >= rto {
-                    if entry.attempts >= max {
-                        give_up.push(*peer);
-                    } else {
-                        entry.attempts += 1;
-                        entry.sent_at = now;
-                        resend.push(entry.parcel.clone());
-                    }
-                }
+                let rto = st.rtt.get(peer).map_or(RTO_MAX, Rtt::rto);
+                let due = entry.sent_at + backoff(rto, entry.attempts);
+                let wait = if due > now {
+                    due - now
+                } else if entry.attempts >= max {
+                    give_up.push(*peer);
+                    continue;
+                } else {
+                    entry.attempts += 1;
+                    entry.sent_at = now;
+                    resend.push(entry.parcel.clone());
+                    backoff(rto, entry.attempts)
+                };
+                next = Some(next.map_or(wait, |n| n.min(wait)));
             }
             for peer in give_up {
                 if st.dead_peers.insert(peer) {
@@ -398,6 +480,7 @@ impl ReliableParcelport {
             self.give_ups.fetch_add(1, Ordering::Relaxed);
             (self.owner)(PortEvent::PeerLost(peer));
         }
+        next
     }
 }
 
@@ -408,7 +491,7 @@ impl Parcelport for ReliableParcelport {
             return inner.send(parcel);
         }
         let peer = parcel.dest_locality;
-        let wrapped = {
+        let (wrapped, first_unacked) = {
             let mut st = self.state.lock();
             if st.dead_peers.contains(&peer) {
                 return Err(Error::PeerLost(peer));
@@ -417,12 +500,19 @@ impl Parcelport for ReliableParcelport {
             let seq = *seq_ref;
             *seq_ref += 1;
             let wrapped = self.wrap(&parcel, seq);
+            let first_unacked = st.unacked.is_empty();
             st.unacked.insert(
                 (peer, seq),
                 Unacked { parcel: wrapped.clone(), sent_at: Instant::now(), attempts: 0 },
             );
-            wrapped
+            (wrapped, first_unacked)
         };
+        // With nothing unacked the maintenance thread sleeps the full
+        // ceiling; wake it to arm this parcel's deadline. Later sends
+        // find it armed, like acks after the one that opens a batch.
+        if first_unacked {
+            self.wake.notify_one();
+        }
         self.data_sent.fetch_add(1, Ordering::Release);
         match inner.send(wrapped) {
             Ok(()) => Ok(()),
@@ -483,23 +573,18 @@ impl Parcelport for ReliableParcelport {
     }
 
     fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
+        {
+            // Under the lock the thread checks the flag with, so the
+            // notify cannot fall between its check and its wait.
+            let _st = self.state.lock();
+            self.shutdown.store(true, Ordering::Release);
+        }
         self.wake.notify_all();
         if let Some(t) = self.thread.lock().take() {
-            let _ = t.join();
+            join_unless_current(t);
         }
         if let Some(inner) = self.inner.read().clone() {
             inner.shutdown();
-        }
-    }
-}
-
-impl Drop for ReliableParcelport {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        self.wake.notify_all();
-        if let Some(t) = self.thread.lock().take() {
-            let _ = t.join();
         }
     }
 }
@@ -632,10 +717,7 @@ mod tests {
 
     #[test]
     fn loopback_send_acks_and_clears_unacked() {
-        let (rel, seen) = rig(ReliableConfig {
-            ack_flush: Duration::from_micros(200),
-            ..ReliableConfig::default()
-        });
+        let (rel, seen) = rig(ReliableConfig::default());
         for i in 0..10u8 {
             rel.send(parcel(0, 0, 0x42, &[i], None)).unwrap();
         }
@@ -690,7 +772,6 @@ mod tests {
             }
         });
         let cfg = ReliableConfig {
-            retransmit_timeout: Duration::from_millis(1),
             max_retransmits: 2,
             ..ReliableConfig::default()
         };
@@ -713,6 +794,69 @@ mod tests {
         assert_eq!(counter(&rel, "count/peer-give-ups"), 1);
         assert_eq!(counter(&rel, "count/retransmits"), 2);
         assert!(rel.peer_lost());
+        rel.shutdown();
+    }
+
+    fn ms(m: f64) -> Duration {
+        Duration::from_secs_f64(m / 1e3)
+    }
+
+    #[test]
+    fn rtt_estimate_follows_rfc_6298() {
+        let mut rtt = Rtt::first(ms(8.0));
+        assert_eq!(rtt, Rtt { srtt: ms(8.0), rttvar: ms(4.0) });
+        assert_eq!(rtt.rto(), ms(24.0), "SRTT + 4 RTTVAR");
+        // RTTVAR = 3/4·4 + 1/4·|8 − 16| = 5, then SRTT = 7/8·8 + 1/8·16 = 9.
+        rtt.update(ms(16.0));
+        assert_eq!(rtt, Rtt { srtt: ms(9.0), rttvar: ms(5.0) });
+        assert_eq!(rtt.rto(), ms(29.0));
+        // RTTVAR = 3/4·5 + 1/4·|9 − 4| = 5, then SRTT = 7/8·9 + 1/8·4.
+        rtt.update(ms(4.0));
+        assert_eq!(rtt, Rtt { srtt: ms(8.375), rttvar: ms(5.0) });
+        assert_eq!(rtt.rto(), ms(28.375));
+    }
+
+    #[test]
+    fn acks_of_retransmitted_parcels_give_no_sample() {
+        let sent_at = Instant::now();
+        let now = sent_at + ms(4.0);
+        let mut st = RelState::default();
+        let entry = |attempts| Unacked { parcel: parcel(0, 1, 0x42, b"x", None), sent_at, attempts };
+        st.unacked.insert((1, 0), entry(0));
+        st.ack(1, 0, now);
+        assert_eq!(st.rtt[&1], Rtt::first(ms(4.0)), "a first-send ack is a sample");
+        st.unacked.insert((1, 1), entry(1));
+        st.ack(1, 1, now + ms(40.0));
+        assert_eq!(st.rtt[&1], Rtt::first(ms(4.0)), "Karn: a retransmit's ack is ambiguous");
+        assert!(st.unacked.is_empty(), "both acks retire their parcels");
+        st.ack(1, 0, now);
+        assert_eq!(st.rtt[&1], Rtt::first(ms(4.0)), "a duplicate ack retires nothing");
+    }
+
+    #[test]
+    fn rto_is_clamped_and_backoff_doubles_to_its_cap() {
+        assert_eq!(Rtt::first(Duration::from_micros(10)).rto(), RTO_MIN);
+        assert_eq!(Rtt::first(ms(30.0)).rto(), RTO_MAX);
+        let waits: Vec<Duration> = (0..8).map(|a| backoff(ms(3.0), a)).collect();
+        let doubling = [3.0, 6.0, 12.0, 24.0, 48.0, 50.0, 50.0, 50.0].map(ms);
+        assert_eq!(waits, doubling);
+        assert_eq!(backoff(RTO_MIN, u32::MAX), RTO_MAX, "no overflow at any attempt count");
+    }
+
+    #[test]
+    fn loopback_rto_settles_under_10ms() {
+        let (rel, seen) = rig(ReliableConfig::default());
+        for i in 0..50u8 {
+            rel.send(parcel(0, 0, 0x42, &[i], None)).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while rel.unacked() > 0 {
+                assert!(Instant::now() < deadline, "parcel {i} never acked");
+                std::thread::sleep(Duration::from_micros(100));
+            }
+        }
+        assert_eq!(seen.lock().len(), 50);
+        let rto = rel.state.lock().rtt[&0].rto();
+        assert!(rto < ms(10.0), "RTO {rto:?} after 50 loopback round trips");
         rel.shutdown();
     }
 }

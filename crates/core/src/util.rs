@@ -39,6 +39,14 @@ impl Default for HighResolutionTimer {
     }
 }
 
+/// Join `handle` unless it is the calling thread, which would deadlock:
+/// a transport thread can run the last owner's shutdown through a sink.
+pub(crate) fn join_unless_current(handle: std::thread::JoinHandle<()>) {
+    if handle.thread().id() != std::thread::current().id() {
+        let _ = handle.join();
+    }
+}
+
 /// Extract a human-readable message from a panic payload.
 pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
