@@ -8,13 +8,16 @@
 //! the DAG generated").
 
 use crate::lcos::future::{when_all, Future};
+use crate::runtime::Core;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Run `f(a, b)` once both futures are ready; errors propagate. Nothing
-/// blocks: whichever future completes last fires the combiner (as a
-/// scheduled task when the futures belong to a runtime).
+/// blocks: the per-input joins run inline on the completing threads, and
+/// whichever future completes last fires the combiner as one
+/// high-priority task when the futures belong to a runtime. If both were
+/// ready already, `f` runs right away on the calling thread.
 ///
 /// ```
 /// use parallex::prelude::*;
@@ -36,22 +39,54 @@ where
     B: Send + 'static,
     R: Send + 'static,
 {
+    join2(fa, fb, f, true)
+}
+
+/// [`dataflow2`]'s body. A `user` combiner fired by a completing input is
+/// spawned as a task; a bookkeeping one (`user == false`, e.g. the tuple
+/// pairing inside [`dataflow3`]) runs inline on the completing thread.
+fn join2<A, B, R>(
+    fa: Future<A>,
+    fb: Future<B>,
+    f: impl FnOnce(A, B) -> R + Send + 'static,
+    user: bool,
+) -> Future<R>
+where
+    A: Send + 'static,
+    B: Send + 'static,
+    R: Send + 'static,
+{
     use crate::error::Result;
     use crate::lcos::future::Promise;
 
     struct Join<A, B, R: Send + 'static> {
         a: Mutex<Option<Result<A>>>,
         b: Mutex<Option<Result<B>>>,
+        /// Both inputs plus the attach itself: when the attach arrives
+        /// last, both inputs were ready and `f` runs inline.
         remaining: AtomicUsize,
+        /// Where a completing input spawns a user combiner (`None`: run it
+        /// inline).
+        core: Option<Arc<Core>>,
         #[allow(clippy::type_complexity)]
         finish: Mutex<Option<(Promise<R>, Box<dyn FnOnce(A, B) -> R + Send>)>>,
     }
 
     impl<A: Send + 'static, B: Send + 'static, R: Send + 'static> Join<A, B, R> {
-        fn arrived(self: &Arc<Self>) {
+        fn arrived(self: &Arc<Self>, attaching: bool) {
             if self.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
                 return;
             }
+            match (&self.core, attaching) {
+                (Some(core), false) => {
+                    let join = self.clone();
+                    core.spawn_continuation(move || join.fire());
+                }
+                _ => self.fire(),
+            }
+        }
+
+        fn fire(&self) {
             let (p, f) = self.finish.lock().take().expect("finish fires once");
             let a = self.a.lock().take().expect("a filled");
             let b = self.b.lock().take().expect("b filled");
@@ -69,27 +104,31 @@ where
         }
     }
 
-    let mut promise = match fa.core().or_else(|| fb.core()) {
-        Some(core) => Promise::with_core(core),
+    let core = fa.core().or_else(|| fb.core());
+    let mut promise = match &core {
+        Some(core) => Promise::with_core(core.clone()),
         None => Promise::new(),
     };
+    let core = core.filter(|_| user);
     let out = promise.future();
     let join = Arc::new(Join {
         a: Mutex::new(None),
         b: Mutex::new(None),
-        remaining: AtomicUsize::new(2),
+        remaining: AtomicUsize::new(3),
+        core,
         finish: Mutex::new(Some((promise, Box::new(f) as Box<dyn FnOnce(A, B) -> R + Send>))),
     });
     let ja = join.clone();
     fa.on_complete(move |res| {
         *ja.a.lock() = Some(res);
-        ja.arrived();
+        ja.arrived(false);
     });
     let jb = join.clone();
     fb.on_complete(move |res| {
         *jb.b.lock() = Some(res);
-        jb.arrived();
+        jb.arrived(false);
     });
+    join.arrived(true);
     out
 }
 
@@ -106,7 +145,7 @@ where
     C: Send + 'static,
     R: Send + 'static,
 {
-    dataflow2(dataflow2(fa, fb, |a, b| (a, b)), fc, move |(a, b), c| f(a, b, c))
+    dataflow2(join2(fa, fb, |a, b| (a, b), false), fc, move |(a, b), c| f(a, b, c))
 }
 
 /// Run `f(values)` once every future in the (homogeneous) vector is ready.
@@ -191,6 +230,38 @@ mod tests {
         pa.set_error(crate::error::Error::BrokenPromise);
         pb.set_value(1);
         assert!(f.try_get().is_err());
+    }
+
+    #[test]
+    fn combiner_of_pending_runtime_futures_runs_on_a_worker() {
+        let rt = Runtime::builder().worker_threads(2).build();
+        let mut pa = rt.make_promise::<i32>();
+        let mut pb = rt.make_promise::<i32>();
+        let rt2 = rt.clone();
+        let f = dataflow2(pa.future(), pb.future(), move |_, _| rt2.current_worker().is_some());
+        std::thread::spawn(move || {
+            pa.set_value(1);
+            pb.set_value(2);
+        })
+        .join()
+        .unwrap();
+        assert!(f.get(), "dataflow2 combiner ran off the workers");
+        rt.shutdown();
+    }
+
+    #[test]
+    fn combiner_of_ready_runtime_futures_runs_inline() {
+        let rt = Runtime::builder().worker_threads(2).build();
+        let caller = std::thread::current().id();
+        let f = dataflow3(
+            rt.make_ready_future(1),
+            rt.make_ready_future(2),
+            rt.make_ready_future(3),
+            move |a, b, c| (std::thread::current().id(), a + b + c),
+        );
+        assert!(f.is_ready(), "ran before dataflow3 returned");
+        assert_eq!(f.get(), (caller, 6));
+        rt.shutdown();
     }
 
     #[test]

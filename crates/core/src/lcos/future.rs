@@ -6,6 +6,19 @@
 //! [`Future::then`] schedules a new lightweight task when the value
 //! arrives. `get` from a worker thread help-executes other tasks while
 //! waiting, so blocking on a future never idles a core.
+//!
+//! Where a callback runs depends on whose code it is. User closures
+//! (`then`, `SharedFuture::then`, the `dataflow` combiners) run inline
+//! when their inputs are already ready at attach time, and otherwise as
+//! one high-priority task on the future's runtime (inline for detached
+//! promises), counted at `/lcos{...}/count/continuations`; a shared
+//! future's pending `then`s run together in one task. The runtime's own
+//! bookkeeping callbacks — the `when_all` gather, `when_any`, `share`'s
+//! fan-out, the `dataflow` joins and the replay/replicate resubmits —
+//! never run user code, so they run inline on whichever thread completes
+//! their input, and inline depth is bounded by how deeply combinators
+//! nest. A `when_all` over N task futures therefore costs N tasks, not
+//! 2N.
 
 use crate::error::{Error, Result};
 use crate::runtime::{help_until, Core};
@@ -15,9 +28,20 @@ use std::sync::Arc;
 
 type Callback<T> = Box<dyn FnOnce(Result<T>) + Send + 'static>;
 
+/// Where a callback registered on a pending future runs once the value
+/// arrives (see the module doc).
+enum Run {
+    /// On the completing thread: runtime bookkeeping that runs no user
+    /// code.
+    Inline,
+    /// As a high-priority task on the future's runtime (inline for a
+    /// detached promise): user continuations.
+    Task,
+}
+
 enum State<T> {
     /// Not yet completed; at most one continuation may be registered.
-    Pending { cb: Option<Callback<T>> },
+    Pending { cb: Option<(Callback<T>, Run)> },
     /// Completed, value not yet consumed.
     Ready(Result<T>),
     /// Value handed to `get` or a continuation.
@@ -41,11 +65,14 @@ impl<T: Send + 'static> Shared<T> {
         let mut st = self.state.lock();
         match &mut *st {
             State::Pending { cb } => match cb.take() {
-                Some(cb) => {
+                Some((cb, run)) => {
                     *st = State::Consumed;
                     drop(st);
                     self.completed.store(true, Ordering::Release);
-                    self.run_continuation(cb, res);
+                    match (run, &self.core) {
+                        (Run::Task, Some(core)) => core.spawn_continuation(move || cb(res)),
+                        _ => cb(res),
+                    }
                 }
                 None => {
                     *st = State::Ready(res);
@@ -55,20 +82,6 @@ impl<T: Send + 'static> Shared<T> {
             },
             // Already completed (e.g. a when_any race lost): drop `res`.
             _ => {}
-        }
-    }
-
-    fn run_continuation(self: &Arc<Self>, cb: Callback<T>, res: Result<T>) {
-        match &self.core {
-            Some(core) => {
-                core.counters.continuations_run.fetch_add(1, Ordering::Relaxed);
-                // Continuations go through the scheduler like any task, at
-                // high priority to keep dependency chains moving.
-                let task = crate::task::Task::new(move || cb(res))
-                    .with_priority(crate::task::Priority::High);
-                core.spawn(task);
-            }
-            None => cb(res),
         }
     }
 }
@@ -194,10 +207,17 @@ impl<T: Send + 'static> Future<T> {
         }
     }
 
-    /// Register `cb` to run with the result as soon as it is available
-    /// (internal primitive behind `then`/`when_all`). If the future is
-    /// already ready the callback runs immediately on this thread.
+    /// Register runtime bookkeeping `cb` to run with the result on
+    /// whichever thread completes this future, or on this thread right
+    /// away if it is already ready. `cb` must not run user code: see the
+    /// module doc.
     pub(crate) fn on_complete(self, cb: impl FnOnce(Result<T>) + Send + 'static) {
+        self.register(cb, Run::Inline);
+    }
+
+    /// Register `cb` to run with the result: right away on this thread if
+    /// the future is already ready, otherwise where `run` says.
+    fn register(self, cb: impl FnOnce(Result<T>) + Send + 'static, run: Run) {
         let mut cb = Some(cb);
         let run_now = {
             let mut st = self.shared.state.lock();
@@ -206,7 +226,9 @@ impl<T: Send + 'static> Future<T> {
                 State::Consumed => panic!("future value already consumed"),
                 State::Pending { cb: existing } => {
                     assert!(existing.is_none(), "only one continuation per future");
-                    *st = State::Pending { cb: Some(Box::new(cb.take().expect("cb present"))) };
+                    *st = State::Pending {
+                        cb: Some((Box::new(cb.take().expect("cb present")), run)),
+                    };
                     None
                 }
             }
@@ -216,10 +238,11 @@ impl<T: Send + 'static> Future<T> {
         }
     }
 
-    /// Attach a continuation: returns a future of `f(value)`. The
-    /// continuation is scheduled as a high-priority task when this future
-    /// was produced by a runtime, and runs inline otherwise. Errors
-    /// propagate without running `f`.
+    /// Attach a continuation: returns a future of `f(value)`. If this
+    /// future is already ready, `f` runs right away on this thread;
+    /// otherwise it is scheduled as a high-priority task when this future
+    /// belongs to a runtime, and runs on the completing thread when it is
+    /// detached. Errors propagate without running `f`.
     pub fn then<U: Send + 'static>(
         self,
         f: impl FnOnce(T) -> U + Send + 'static,
@@ -229,17 +252,20 @@ impl<T: Send + 'static> Future<T> {
             None => Promise::new(),
         };
         let out = p.future();
-        self.on_complete(move |res| match res {
-            Ok(v) => {
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || f(v))) {
-                    Ok(u) => p.set_value(u),
-                    Err(pl) => {
-                        p.set_error(Error::TaskPanicked(crate::util::panic_message(&*pl)))
+        self.register(
+            move |res| match res {
+                Ok(v) => {
+                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || f(v))) {
+                        Ok(u) => p.set_value(u),
+                        Err(pl) => {
+                            p.set_error(Error::TaskPanicked(crate::util::panic_message(&*pl)))
+                        }
                     }
                 }
-            }
-            Err(e) => p.set_error(e),
-        });
+                Err(e) => p.set_error(e),
+            },
+            Run::Task,
+        );
         out
     }
 
@@ -315,8 +341,18 @@ impl<T: Clone + Send + 'static> Future<T> {
                 inner2.completed.store(true, Ordering::Release);
                 cbs
             };
-            for cb in callbacks {
-                cb(res.clone());
+            if callbacks.is_empty() {
+                return;
+            }
+            let run_all = move || {
+                for cb in callbacks {
+                    cb(res.clone());
+                }
+            };
+            // The pending `then`s are user code: one task runs them all.
+            match &inner2.core {
+                Some(core) => core.spawn_continuation(run_all),
+                None => run_all(),
             }
         });
         SharedFuture { inner }
@@ -653,6 +689,76 @@ mod tests {
         let rt = Runtime::builder().worker_threads(2).build();
         let f = rt.async_task(|| 20).then(|x| x + 1).then(|x| x * 2);
         assert_eq!(f.get(), 42);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn when_all_over_pending_task_futures_spawns_only_the_tasks() {
+        // The gather runs inline on each completing worker: N inputs cost
+        // exactly the N tasks that produce them.
+        use std::sync::atomic::AtomicBool;
+        const N: usize = 8;
+        let rt = Runtime::builder().worker_threads(2).build();
+        let gate = Arc::new(AtomicBool::new(false));
+        let before = rt.counter_snapshot();
+        let fs: Vec<_> = (0..N)
+            .map(|i| {
+                let gate = gate.clone();
+                rt.async_task(move || {
+                    while !gate.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    i
+                })
+            })
+            .collect();
+        let all = when_all(fs);
+        gate.store(true, Ordering::Release);
+        assert_eq!(all.get(), (0..N).collect::<Vec<_>>());
+        rt.wait_idle();
+        let d = rt.counter_snapshot().delta(&before);
+        assert_eq!(d.total("threads", "count/spawned"), N as u64);
+        assert_eq!(d.total("lcos", "count/continuations"), 0);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn user_continuations_of_pending_runtime_futures_run_on_a_worker() {
+        // A plain thread completes the inputs; `then` and a shared
+        // future's `then` must still run on one of the runtime's workers.
+        let rt = Runtime::builder().worker_threads(2).build();
+        let before = rt.counter_snapshot();
+        let mut pa = rt.make_promise::<i32>();
+        let mut pb = rt.make_promise::<i32>();
+        let on_worker = |rt: &Runtime| {
+            let rt = rt.clone();
+            move |_: i32| rt.current_worker().is_some()
+        };
+        let then = pa.future().then(on_worker(&rt));
+        let shared_then = pb.future().share().then(on_worker(&rt));
+        std::thread::spawn(move || {
+            pa.set_value(1);
+            pb.set_value(2);
+        })
+        .join()
+        .unwrap();
+        assert!(then.get(), "Future::then ran off the workers");
+        assert!(shared_then.get(), "SharedFuture::then ran off the workers");
+        rt.wait_idle();
+        let d = rt.counter_snapshot().delta(&before);
+        assert_eq!(d.total("lcos", "count/continuations"), 2);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn then_on_a_ready_runtime_future_runs_inline() {
+        let rt = Runtime::builder().worker_threads(2).build();
+        let caller = std::thread::current().id();
+        let f = rt
+            .make_ready_future(5)
+            .then(move |x| (std::thread::current().id(), x + 1));
+        assert!(f.is_ready(), "ran before then returned");
+        assert_eq!(f.get(), (caller, 6));
         rt.shutdown();
     }
 

@@ -2,10 +2,18 @@
 //!
 //! HPX exposes introspection counters under paths like
 //! `/threads{locality#0/total}/count/cumulative`; this module holds the
-//! cheap relaxed atomics bumped on the hot paths and registers one probe
-//! per counter in the runtime's [`CounterRegistry`]
+//! cheap atomics bumped on the hot paths and registers one probe per
+//! counter in the runtime's [`CounterRegistry`]
 //! (`register_runtime_counters`). The registry is the only way to read
 //! them.
+//!
+//! Task accounting is per worker: every worker owns a cache-padded
+//! [`WorkerStat`] and bumps only its own, and spawns from threads outside
+//! the pool share one more slot. A locality-total path is the sum of the
+//! slots, read at snapshot time, so counting a task's spawn and finish
+//! writes no cache line another worker writes. The runtime's count of unfinished
+//! tasks (`Runtime::outstanding`) is derived from the same slots rather
+//! than kept in a counter of its own (see `Core::outstanding`).
 //!
 //! Once a runtime is idle (`wait_idle`), the counters satisfy two
 //! conservation identities (pinned by tests):
@@ -20,30 +28,34 @@ use crate::runtime::Core;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Monotone event counters for one runtime.
+/// The runtime's event counters that are not per worker.
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
-    /// Tasks handed to the scheduler.
-    pub(crate) tasks_spawned: AtomicUsize,
-    /// Tasks that finished executing without panicking.
-    pub(crate) tasks_executed: AtomicUsize,
-    /// Tasks whose closure panicked.
-    pub(crate) tasks_panicked: AtomicUsize,
-    /// Future continuations run.
-    pub(crate) continuations_run: AtomicUsize,
     /// Parcels sent from this locality.
     pub(crate) parcels_sent: AtomicUsize,
     /// Parcels received by this locality.
     pub(crate) parcels_received: AtomicUsize,
 }
 
-/// Per-worker execution stats (one per scheduler worker, owned by the
-/// runtime core), feeding the `/threads{locality#L/worker#W}/...`
+/// One worker's task accounting, owned by the runtime core (one per
+/// scheduler worker, plus one shared by every thread outside the pool),
+/// feeding the locality totals and the `/threads{locality#L/worker#W}/...`
 /// counter paths.
+///
+/// The finish counts (`tasks_executed`, `tasks_panicked`) are bumped with
+/// `Release` as the last act of running a task, so that a reader who
+/// loads them with `Acquire` also sees the spawn of every task it sees
+/// finish (`Core::outstanding` relies on this).
 #[derive(Debug, Default)]
 pub(crate) struct WorkerStat {
+    /// Tasks this thread handed to the scheduler.
+    pub(crate) tasks_spawned: AtomicUsize,
+    /// Of those, future continuations spawned as tasks.
+    pub(crate) continuations: AtomicUsize,
     /// Tasks this worker ran to completion without panicking.
     pub(crate) tasks_executed: AtomicUsize,
+    /// Tasks this worker ran whose closure panicked.
+    pub(crate) tasks_panicked: AtomicUsize,
     /// Wall time this worker spent inside tasks, panicked or not,
     /// nanoseconds.
     pub(crate) busy_ns: AtomicU64,
@@ -51,40 +63,30 @@ pub(crate) struct WorkerStat {
 
 /// Populate `registry` with the standard counter set of one runtime:
 /// locality-total task, continuation, parcel and scheduler counters plus
-/// per-worker cumulative-task and busy-time counters. Probes capture the core and
-/// evaluate a relaxed atomic load at snapshot time.
+/// per-worker cumulative-task and busy-time counters. Probes capture the
+/// core and evaluate atomic loads (summed over the per-worker slots for
+/// task, push and steal-probe totals) at snapshot time.
 pub(crate) fn register_runtime_counters(registry: &CounterRegistry, locality: u32, core: &Arc<Core>) {
-    macro_rules! counter {
-        ($object:expr, $name:expr, $field:ident) => {{
-            let c = core.clone();
-            registry.register(
-                CounterPath::new($object, locality, Instance::Total, $name),
-                move || c.counters.$field.load(Ordering::Relaxed) as u64,
-            );
-        }};
-    }
-    macro_rules! sched_counter {
-        ($name:expr, $field:ident) => {{
-            let c = core.clone();
-            registry.register(
-                CounterPath::new("threads", locality, Instance::Total, $name),
-                move || c.sched.$field.load(Ordering::Relaxed) as u64,
-            );
-        }};
-    }
-    counter!("threads", "count/cumulative", tasks_executed);
-    counter!("threads", "count/spawned", tasks_spawned);
-    counter!("threads", "count/panicked", tasks_panicked);
-    counter!("lcos", "count/continuations", continuations_run);
-    counter!("parcels", "count/sent", parcels_sent);
-    counter!("parcels", "count/received", parcels_received);
-    sched_counter!("count/stolen", stat_stolen);
-    sched_counter!("count/pushes", stat_pushed);
-    sched_counter!("count/steal-attempts", stat_steal_attempts);
-    sched_counter!("count/steal-batches", stat_steal_batches);
-    sched_counter!("count/parks", stat_parks);
-    sched_counter!("count/wakes", stat_wakes);
-    for w in 0..core.worker_stats.len() {
+    let total = |object: &str, name: &str, read: fn(&Core) -> usize| {
+        let c = core.clone();
+        registry.register(
+            CounterPath::new(object, locality, Instance::Total, name),
+            move || read(&c) as u64,
+        );
+    };
+    total("threads", "count/cumulative", |c| c.task_total(|s| &s.tasks_executed));
+    total("threads", "count/spawned", |c| c.task_total(|s| &s.tasks_spawned));
+    total("threads", "count/panicked", |c| c.task_total(|s| &s.tasks_panicked));
+    total("lcos", "count/continuations", |c| c.task_total(|s| &s.continuations));
+    total("parcels", "count/sent", |c| c.counters.parcels_sent.load(Ordering::Relaxed));
+    total("parcels", "count/received", |c| c.counters.parcels_received.load(Ordering::Relaxed));
+    total("threads", "count/stolen", |c| c.sched.stat_stolen.load(Ordering::Relaxed));
+    total("threads", "count/pushes", |c| c.sched.pushes());
+    total("threads", "count/steal-attempts", |c| c.sched.steal_attempts());
+    total("threads", "count/steal-batches", |c| c.sched.stat_steal_batches.load(Ordering::Relaxed));
+    total("threads", "count/parks", |c| c.sched.stat_parks.load(Ordering::Relaxed));
+    total("threads", "count/wakes", |c| c.sched.stat_wakes.load(Ordering::Relaxed));
+    for w in 0..core.sched.workers() {
         let c = core.clone();
         registry.register(
             CounterPath::new("threads", locality, Instance::Worker(w), "count/cumulative"),
@@ -123,7 +125,7 @@ pub(crate) fn register_runtime_counters(registry: &CounterRegistry, locality: u3
             move || c.latency.merged(ch).count(),
         );
     }
-    for w in 0..core.worker_stats.len() {
+    for w in 0..core.sched.workers() {
         for (qname, q) in [("p50", 0.5), ("p99", 0.99)] {
             let c = core.clone();
             registry.register(
@@ -153,9 +155,9 @@ mod tests {
     #[test]
     fn snapshot_reflects_counts() {
         let rt = Runtime::builder().worker_threads(1).build();
-        let c = &rt.core().counters;
-        c.tasks_spawned.fetch_add(3, Ordering::Relaxed);
-        c.parcels_sent.fetch_add(2, Ordering::Relaxed);
+        let c = rt.core();
+        c.worker_stats[0].tasks_spawned.fetch_add(3, Ordering::Relaxed);
+        c.counters.parcels_sent.fetch_add(2, Ordering::Relaxed);
         let snap = rt.counter_snapshot();
         assert_eq!(read(&snap, "threads", "count/spawned"), 3);
         assert_eq!(read(&snap, "parcels", "count/sent"), 2);

@@ -7,6 +7,10 @@
 //! ([`Error::BrokenPromise`] — what an injected runtime-level panic
 //! produces); genuine application errors returned as values are not
 //! retried.
+//!
+//! The resubmit and election callbacks are runtime bookkeeping: they run
+//! inline on the thread that finishes an attempt, so a retry costs one
+//! task (the new attempt), not two.
 
 use crate::error::{Error, Result};
 use crate::lcos::future::Future;

@@ -18,8 +18,9 @@ use crate::perf::{Counters, WorkerStat};
 use crate::sched::{Scheduler, SchedulerPolicy};
 use crate::task::{Priority, ScheduleHint, Task};
 use crate::topology::Topology;
-use parking_lot::{Condvar, Mutex};
-use std::cell::RefCell;
+use crossbeam::utils::CachePadded;
+use parking_lot::Mutex;
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -27,13 +28,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 thread_local! {
-    static CURRENT: RefCell<Option<WorkerCtx>> = const { RefCell::new(None) };
-}
-
-#[derive(Clone)]
-struct WorkerCtx {
-    core: Arc<Core>,
-    index: usize,
+    /// The core this thread is a worker of (null on other threads) and its
+    /// worker index. A plain address, compared but never dereferenced: the
+    /// worker loop holds the core alive while it is set, so looking up
+    /// "which worker am I" touches no reference count.
+    static CURRENT: Cell<(*const Core, usize)> = const { Cell::new((std::ptr::null(), 0)) };
 }
 
 /// Shared runtime state: what worker threads and futures need to run and
@@ -41,13 +40,10 @@ struct WorkerCtx {
 /// not keep the runtime alive in a reference cycle.
 pub(crate) struct Core {
     pub(crate) sched: Scheduler,
-    /// Tasks spawned and not yet finished (queued + running).
-    outstanding: AtomicUsize,
-    idle_lock: Mutex<()>,
-    idle_cond: Condvar,
     pub(crate) counters: Counters,
-    /// Per-worker execution stats feeding the per-worker counter paths.
-    pub(crate) worker_stats: Vec<WorkerStat>,
+    /// Task accounting: one cache-padded slot per worker, then one shared
+    /// by every thread outside the pool (see [`crate::perf::WorkerStat`]).
+    pub(crate) worker_stats: Vec<CachePadded<WorkerStat>>,
     /// Structured event recorder shared with the scheduler.
     pub(crate) tracer: Arc<Tracer>,
     /// Always-on per-worker latency histograms (task, steal,
@@ -70,29 +66,20 @@ impl Core {
             worker,
             end.duration_since(start).as_nanos() as u64,
         );
-        let stat = self.worker_stats.get(worker);
-        if let Some(ws) = stat {
-            ws.busy_ns
-                .fetch_add(end.duration_since(start).as_nanos() as u64, Ordering::Relaxed);
-        }
-        // `tasks_executed` counts successful completions only, at the
-        // locality total and per worker alike, so the conservation
-        // identity `spawned == executed + panicked` holds once the
-        // runtime is idle and the workers sum to the total.
-        // A panic is counted and traced here; the panic hook has
-        // already reported its message.
+        let stat = &self.worker_stats[worker];
+        stat.busy_ns
+            .fetch_add(end.duration_since(start).as_nanos() as u64, Ordering::Relaxed);
+        // `tasks_executed` counts successful completions only, so the
+        // conservation identity `spawned == executed + panicked` holds
+        // once the runtime is idle. A panic is counted and traced here;
+        // the panic hook has already reported its message. The finish
+        // count is the last write (`Release`, see `outstanding`): once it
+        // lands, the task and its accounting are done.
         if result.is_ok() {
-            self.counters.tasks_executed.fetch_add(1, Ordering::Relaxed);
-            if let Some(ws) = stat {
-                ws.tasks_executed.fetch_add(1, Ordering::Relaxed);
-            }
+            stat.tasks_executed.fetch_add(1, Ordering::Release);
         } else {
-            self.counters.tasks_panicked.fetch_add(1, Ordering::Relaxed);
             self.tracer.instant(worker, EventKind::User("task-panicked"), 0);
-        }
-        if self.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _g = self.idle_lock.lock();
-            self.idle_cond.notify_all();
+            stat.tasks_panicked.fetch_add(1, Ordering::Release);
         }
     }
 
@@ -108,21 +95,52 @@ impl Core {
         }
     }
 
-    pub(crate) fn spawn(self: &Arc<Self>, task: Task) {
-        self.counters.tasks_spawned.fetch_add(1, Ordering::Relaxed);
-        self.outstanding.fetch_add(1, Ordering::AcqRel);
-        let from_worker = current_worker_on(self).map(|ctx| ctx.index);
-        self.sched.push(task, from_worker);
+    /// Hand `task` to the scheduler, counted in the calling worker's slot
+    /// (or the shared one for threads outside the pool).
+    pub(crate) fn spawn(&self, task: Task) {
+        let worker = self.current_worker();
+        self.stat_of(worker).tasks_spawned.fetch_add(1, Ordering::Relaxed);
+        self.sched.push(task, worker);
     }
-}
 
-fn current_worker_on(core: &Arc<Core>) -> Option<WorkerCtx> {
-    CURRENT.with(|c| {
-        c.borrow()
-            .as_ref()
-            .filter(|ctx| Arc::ptr_eq(&ctx.core, core))
-            .cloned()
-    })
+    /// [`Core::spawn`] a future continuation at high priority (to keep
+    /// dependency chains moving), counted at `count/continuations`.
+    pub(crate) fn spawn_continuation(&self, f: impl FnOnce() + Send + 'static) {
+        self.stat_of(self.current_worker()).continuations.fetch_add(1, Ordering::Relaxed);
+        self.spawn(Task::new(f).with_priority(Priority::High));
+    }
+
+    /// Index of the calling thread if it is one of this core's workers.
+    pub(crate) fn current_worker(&self) -> Option<usize> {
+        let (core, index) = CURRENT.with(Cell::get);
+        std::ptr::eq(core, self).then_some(index)
+    }
+
+    /// The accounting slot of `worker`, or the shared one for `None`.
+    fn stat_of(&self, worker: Option<usize>) -> &WorkerStat {
+        &self.worker_stats[worker.unwrap_or(self.worker_stats.len() - 1)]
+    }
+
+    /// Sum one counter over every accounting slot.
+    pub(crate) fn task_total(&self, field: impl Fn(&WorkerStat) -> &AtomicUsize) -> usize {
+        self.worker_stats.iter().map(|s| field(s).load(Ordering::Acquire)).sum()
+    }
+
+    /// Tasks spawned and not yet finished (queued or running).
+    ///
+    /// Derived, not counted: every finish count is read (`Acquire`)
+    /// *before* any spawn count. A task's spawn is counted before it is
+    /// pushed, the push happens before its pop, and the pop before its
+    /// finish count (a `Release` increment). So every finish this read
+    /// sees has its spawn in the spawn counts read after it: the spawn
+    /// sum is never below the finish sum, and a task that spawns its
+    /// successor before it returns can never let the difference read a
+    /// false zero between the two.
+    pub(crate) fn outstanding(&self) -> usize {
+        let finished =
+            self.task_total(|s| &s.tasks_executed) + self.task_total(|s| &s.tasks_panicked);
+        self.task_total(|s| &s.tasks_spawned) - finished
+    }
 }
 
 /// Help-execute tasks (when called from a worker of `core`) or yield, until
@@ -136,13 +154,12 @@ pub(crate) fn help_until(core: Option<&Arc<Core>>, mut done: impl FnMut() -> boo
     // histogram and becomes a FutureWait span when tracing is on
     // (help-executed tasks nest inside it).
     let t0 = core.map(|_| std::time::Instant::now());
-    let ctx = core.and_then(current_worker_on);
-    let lane = ctx.as_ref().map(|c| c.index);
-    match ctx {
-        Some(ctx) => {
+    let lane = core.and_then(|c| c.current_worker());
+    match core.zip(lane) {
+        Some((core, index)) => {
             let mut spins = 0u32;
             while !done() {
-                if ctx.core.run_one(ctx.index) {
+                if core.run_one(index) {
                     spins = 0;
                 } else {
                     spins += 1;
@@ -260,11 +277,8 @@ impl RuntimeBuilder {
         let latency = Arc::new(LatencySet::new(workers + 1));
         let core = Arc::new(Core {
             sched: Scheduler::with_topology(workers, self.policy, &topology),
-            outstanding: AtomicUsize::new(0),
-            idle_lock: Mutex::new(()),
-            idle_cond: Condvar::new(),
             counters: Counters::default(),
-            worker_stats: (0..workers).map(|_| WorkerStat::default()).collect(),
+            worker_stats: (0..=workers).map(|_| CachePadded::default()).collect(),
             tracer: tracer.clone(),
             latency: latency.clone(),
         });
@@ -304,9 +318,7 @@ const IDLE_SPINS: u32 = 64;
 const IDLE_YIELDS: u32 = 16;
 
 fn worker_loop(core: Arc<Core>, index: usize) {
-    CURRENT.with(|c| {
-        *c.borrow_mut() = Some(WorkerCtx { core: core.clone(), index });
-    });
+    CURRENT.with(|c| c.set((Arc::as_ptr(&core), index)));
     let mut idle = 0u32;
     loop {
         if core.run_one(index) {
@@ -326,7 +338,7 @@ fn worker_loop(core: Arc<Core>, index: usize) {
             core.sched.wait_for_work(index);
         }
     }
-    CURRENT.with(|c| *c.borrow_mut() = None);
+    CURRENT.with(|c| c.set((std::ptr::null(), 0)));
 }
 
 struct RuntimeInner {
@@ -502,18 +514,27 @@ impl Runtime {
         f
     }
 
-    /// Block until no spawned task remains (queued or running). Safe to
-    /// call from a worker: it help-executes.
+    /// Block until no spawned task remains (queued or running), from a
+    /// thread outside this runtime's pool or a worker of another runtime.
+    ///
+    /// # Panics
+    /// Panics when called from inside one of this runtime's own tasks:
+    /// the calling task is itself outstanding, so the wait could never
+    /// end. Inside a task, wait on the futures or LCOs of the work
+    /// instead.
     pub fn wait_idle(&self) {
-        let core = self.inner.core.clone();
-        help_until(Some(&core), || {
-            core.outstanding.load(Ordering::Acquire) == 0
-        });
+        let core = &self.inner.core;
+        assert!(
+            core.current_worker().is_none(),
+            "Runtime::wait_idle called from inside one of this runtime's tasks: \
+             the calling task counts as outstanding, so the runtime can never become idle"
+        );
+        help_until(Some(core), || core.outstanding() == 0);
     }
 
     /// Tasks spawned and not yet finished.
     pub fn outstanding(&self) -> usize {
-        self.inner.core.outstanding.load(Ordering::Acquire)
+        self.inner.core.outstanding()
     }
 
     /// Stop the workers (idempotent). Queued tasks are drained first.
@@ -542,7 +563,7 @@ impl Runtime {
     /// Index of the current worker thread if the caller is one of this
     /// runtime's workers.
     pub fn current_worker(&self) -> Option<usize> {
-        current_worker_on(&self.inner.core).map(|c| c.index)
+        self.inner.core.current_worker()
     }
 }
 
@@ -651,6 +672,71 @@ mod tests {
         assert_eq!(rt.outstanding(), 0);
         assert_eq!(n.load(Ordering::Relaxed), 1000);
         rt.shutdown();
+    }
+
+    #[test]
+    fn wait_idle_from_inside_a_task_panics_instead_of_hanging() {
+        let rt = Runtime::builder().worker_threads(2).build();
+        let rt2 = rt.clone();
+        let f = rt.async_task(move || {
+            rt2.spawn(|| {});
+            rt2.wait_idle();
+        });
+        let t = std::time::Instant::now();
+        while !f.is_ready() && t.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        if !f.is_ready() {
+            // The stuck worker would block the runtime's shutdown join.
+            std::mem::forget(rt);
+            panic!("wait_idle inside a task still pending after 5 s");
+        }
+        match f.try_get() {
+            Err(crate::error::Error::TaskPanicked(m)) => {
+                assert!(m.contains("wait_idle called from inside"), "{m}")
+            }
+            other => panic!("expected TaskPanicked, got {other:?}"),
+        }
+        rt.wait_idle();
+        rt.shutdown();
+    }
+
+    /// Spawn link `left` of a chain whose every task spawns its successor
+    /// (hinted to another worker, or to its own deque) before it
+    /// returns; the last link sets `done` just before returning.
+    fn chain_link(rt: &Runtime, state: u64, left: u32, done: Arc<std::sync::atomic::AtomicBool>) {
+        let state = crate::resilience::SplitMix64::new(state).next_u64();
+        let hint = match state % 3 {
+            0 => ScheduleHint::None,
+            w => ScheduleHint::Worker(w as usize),
+        };
+        let rt2 = rt.clone();
+        rt.spawn_hinted(hint, move || {
+            for _ in 0..(state >> 8) % 200 {
+                std::hint::spin_loop();
+            }
+            if left == 0 {
+                done.store(true, Ordering::SeqCst);
+            } else {
+                chain_link(&rt2, state, left - 1, done);
+            }
+        });
+    }
+
+    #[test]
+    fn outstanding_never_reads_zero_while_a_chain_hands_across_workers() {
+        use std::sync::atomic::AtomicBool;
+        for seed in [3u64, 17, 256, 4099, 65537, 1_000_003] {
+            let rt = Runtime::builder().worker_threads(3).build();
+            let done = Arc::new(AtomicBool::new(false));
+            chain_link(&rt, seed, 2_000, done.clone());
+            while rt.outstanding() != 0 {}
+            assert!(
+                done.load(Ordering::SeqCst),
+                "seed {seed}: outstanding read 0 before the chain's last task returned"
+            );
+            rt.shutdown();
+        }
     }
 
     #[test]

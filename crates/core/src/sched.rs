@@ -32,11 +32,20 @@
 //! not at all when nobody is parked — a saturated runtime never pays for
 //! wakeups, an idle one burns ~0% CPU, and a pinned task can never be
 //! stranded by its wakeup going to a worker that cannot acquire it.
+//!
+//! Each worker's queues and counters sit on cache lines of their own
+//! (`CachePadded`), and the push and steal-probe counts are kept per
+//! worker and summed on read, so a worker spawning and running its own
+//! tasks writes no line another worker writes except the shared
+//! runnable count. The number of queued tasks is not tracked
+//! separately: it is the shared count plus every worker's private
+//! count.
 
 use crate::introspect::{EventKind, LatencyChannel, LatencySet, Tracer};
 use crate::task::{Priority, ScheduleHint, Task};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
 use crossbeam::queue::SegQueue;
+use crossbeam::utils::CachePadded;
 use parking_lot::{Condvar, Mutex};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -167,6 +176,11 @@ struct WorkerQueues {
     /// work they cannot acquire.
     private: AtomicUsize,
     park: ParkSlot,
+    /// Tasks pushed by this worker (a push from outside the pool counts
+    /// in [`Scheduler::external_pushes`]).
+    pushes: AtomicUsize,
+    /// Victim queues this worker probed while stealing (hits and misses).
+    steal_attempts: AtomicUsize,
 }
 
 impl WorkerQueues {
@@ -181,6 +195,8 @@ impl WorkerQueues {
             slot: DequeSlot { owner: AtomicU64::new(0), deque: UnsafeCell::new(deque) },
             private: AtomicUsize::new(0),
             park: ParkSlot::new(),
+            pushes: AtomicUsize::new(0),
+            steal_attempts: AtomicUsize::new(0),
         }
     }
 }
@@ -188,7 +204,7 @@ impl WorkerQueues {
 /// The shared scheduler state. One instance per [`crate::runtime::Runtime`].
 pub struct Scheduler {
     policy: SchedulerPolicy,
-    queues: Vec<WorkerQueues>,
+    queues: Vec<CachePadded<WorkerQueues>>,
     injector_high: Injector<Task>,
     injector: Injector<Task>,
     /// Workers currently registered as (about to be) parked; lets pushers
@@ -197,18 +213,18 @@ pub struct Scheduler {
     /// Per-thief victim visit order (NUMA-aware stealing: same-domain
     /// victims first, so stolen tasks stay close to their data).
     steal_order: Vec<Vec<usize>>,
-    /// Tasks pushed but not yet popped.
-    queued: AtomicUsize,
     /// Queued tasks acquirable by *any* worker (injectors, plus deques and
     /// inboxes when stealing is enabled). Counterpart of the per-worker
-    /// `private` counts; together they drive the park predicate.
+    /// `private` counts; together they drive the park predicate and sum
+    /// to the number of queued tasks.
     shared: AtomicUsize,
-    /// Monotone counters, read through the runtime's counter registry.
-    pub(crate) stat_pushed: AtomicUsize,
+    /// Tasks pushed from threads outside the worker pool.
+    external_pushes: CachePadded<AtomicUsize>,
+    // The `stat_*` counters below are monotone and read through the
+    // runtime's counter registry, as are the per-worker push and
+    // steal-probe counts (`pushes`, `steal_attempts`).
     /// Successful steal operations (each may move a whole batch).
     pub(crate) stat_stolen: AtomicUsize,
-    /// Victim queues probed while stealing (hits and misses).
-    pub(crate) stat_steal_attempts: AtomicUsize,
     /// Successful batched steals (`steal_batch_and_pop` into a deque).
     pub(crate) stat_steal_batches: AtomicUsize,
     /// Times a worker actually blocked on the condvar.
@@ -249,16 +265,14 @@ impl Scheduler {
         assert!(workers > 0, "need at least one worker");
         Scheduler {
             policy,
-            queues: (0..workers).map(|_| WorkerQueues::new()).collect(),
+            queues: (0..workers).map(|_| CachePadded::new(WorkerQueues::new())).collect(),
             injector_high: Injector::new(),
             injector: Injector::new(),
             sleepers: AtomicUsize::new(0),
             steal_order: cyclic_order(workers),
-            queued: AtomicUsize::new(0),
             shared: AtomicUsize::new(0),
-            stat_pushed: AtomicUsize::new(0),
+            external_pushes: CachePadded::new(AtomicUsize::new(0)),
             stat_stolen: AtomicUsize::new(0),
-            stat_steal_attempts: AtomicUsize::new(0),
             stat_steal_batches: AtomicUsize::new(0),
             stat_parks: AtomicUsize::new(0),
             stat_wakes: AtomicUsize::new(0),
@@ -336,13 +350,16 @@ impl Scheduler {
     /// caller *is* one of this scheduler's workers (lets unhinted tasks go
     /// to the caller's local deque, HPX's default child-stealing setup).
     pub fn push(&self, task: Task, from_worker: Option<usize>) {
-        self.stat_pushed.fetch_add(1, Ordering::Relaxed);
+        match from_worker {
+            Some(w) => &self.queues[w].pushes,
+            None => &self.external_pushes,
+        }
+        .fetch_add(1, Ordering::Relaxed);
         // Count before publishing: a concurrent pop may take the task the
         // instant it lands, and its decrement must never underflow. The
-        // lane counter is likewise bumped before the enqueue — and before
-        // any park flag is read — so a worker that registers as a sleeper
-        // and then re-checks the counters can never miss this task.
-        self.queued.fetch_add(1, Ordering::SeqCst);
+        // lane counter is bumped before the enqueue — and before any park
+        // flag is read — so a worker that registers as a sleeper and then
+        // re-checks the counters can never miss this task.
         match task.hint {
             ScheduleHint::Pinned(w) => {
                 let w = w % self.queues.len();
@@ -422,14 +439,6 @@ impl Scheduler {
     /// Returns `None` when nothing is runnable anywhere (caller should
     /// park via [`Scheduler::wait_for_work`]).
     pub fn pop(&self, worker: usize) -> Option<Task> {
-        let got = self.pop_inner(worker);
-        if got.is_some() {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-        }
-        got
-    }
-
-    fn pop_inner(&self, worker: usize) -> Option<Task> {
         let q = &self.queues[worker];
         if let Some(t) = q.pinned.pop() {
             q.private.fetch_sub(1, Ordering::SeqCst);
@@ -514,8 +523,9 @@ impl Scheduler {
         // in benches pay nothing for the clock.
         let t0 = (self.latency.get().is_some() || self.tracer_if_enabled().is_some())
             .then(std::time::Instant::now);
+        let attempts = &self.queues[thief].steal_attempts;
         for &victim in &self.steal_order[thief] {
-            self.stat_steal_attempts.fetch_add(1, Ordering::Relaxed);
+            attempts.fetch_add(1, Ordering::Relaxed);
             let vq = &self.queues[victim];
             let got = match dest {
                 Some(d) => steal_one(|| vq.stealer.steal_batch_and_pop(d))
@@ -551,12 +561,24 @@ impl Scheduler {
 
     /// Whether any task is queued (racy; for idle heuristics only).
     pub fn has_queued(&self) -> bool {
-        self.queued.load(Ordering::SeqCst) > 0
+        self.queued_len() > 0
     }
 
     /// Number of queued (not yet popped) tasks.
     pub fn queued_len(&self) -> usize {
-        self.queued.load(Ordering::SeqCst)
+        self.shared.load(Ordering::SeqCst)
+            + self.queues.iter().map(|q| q.private.load(Ordering::SeqCst)).sum::<usize>()
+    }
+
+    /// Tasks pushed so far, from workers and outside threads alike.
+    pub(crate) fn pushes(&self) -> usize {
+        self.external_pushes.load(Ordering::Relaxed)
+            + self.queues.iter().map(|q| q.pushes.load(Ordering::Relaxed)).sum::<usize>()
+    }
+
+    /// Victim queues probed while stealing, summed over the workers.
+    pub(crate) fn steal_attempts(&self) -> usize {
+        self.queues.iter().map(|q| q.steal_attempts.load(Ordering::Relaxed)).sum()
     }
 
     /// Whether some queued task is acquirable by `worker` right now (racy;

@@ -8,9 +8,6 @@
 //! for why this preserves the model's semantics.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static NEXT_TASK_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Scheduling priority of a task. High-priority tasks are drained before
 /// normal ones (HPX's `thread_priority`).
@@ -48,8 +45,6 @@ pub struct Task {
     pub priority: Priority,
     /// Placement hint.
     pub hint: ScheduleHint,
-    /// Unique id (diagnostics only).
-    pub id: u64,
 }
 
 impl Task {
@@ -59,7 +54,6 @@ impl Task {
             func: Box::new(func),
             priority: Priority::Normal,
             hint: ScheduleHint::None,
-            id: NEXT_TASK_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -84,7 +78,6 @@ impl Task {
 impl fmt::Debug for Task {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Task")
-            .field("id", &self.id)
             .field("priority", &self.priority)
             .field("hint", &self.hint)
             .finish_non_exhaustive()
@@ -94,7 +87,7 @@ impl fmt::Debug for Task {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     #[test]
@@ -103,13 +96,6 @@ mod tests {
         let r2 = ran.clone();
         Task::new(move || r2.store(true, Ordering::SeqCst)).run();
         assert!(ran.load(Ordering::SeqCst));
-    }
-
-    #[test]
-    fn ids_are_unique_and_increasing() {
-        let a = Task::new(|| {});
-        let b = Task::new(|| {});
-        assert!(b.id > a.id);
     }
 
     #[test]

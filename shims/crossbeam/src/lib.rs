@@ -10,7 +10,8 @@
 //!   one is a small spinlock around a `VecDeque` (safe memory reclamation
 //!   for a fully lock-free segmented queue needs epoch GC, which is not
 //!   worth vendoring); the scheduler only touches it on cold lanes
-//!   (pinned/high-priority tasks).
+//!   (pinned/high-priority tasks, inboxes, injectors). An atomic length
+//!   lets a pop of an empty queue return without taking the lock.
 //! * [`utils`] — `CachePadded`, alignment padding against false sharing.
 //!
 //! The build container has no registry access, so the real crate cannot be

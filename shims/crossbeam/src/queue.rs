@@ -5,11 +5,13 @@
 //! for the cold lanes this queue serves (pinned / high-priority tasks and
 //! external injection). This stand-in is a short-critical-section spinlock
 //! around a `VecDeque`, with a batch pop so callers can amortize one lock
-//! acquisition over many elements.
+//! acquisition over many elements. An atomic length, written under the
+//! lock, lets `pop` and `pop_batch` on an empty queue return without
+//! taking the lock, so idle consumers polling many queues only read.
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A minimal test-and-test-and-set spinlock.
 struct SpinLock {
@@ -47,6 +49,8 @@ impl SpinLock {
 pub struct SegQueue<T> {
     lock: SpinLock,
     items: UnsafeCell<VecDeque<T>>,
+    /// `items.len()`, stored under the lock after every change.
+    len: AtomicUsize,
 }
 
 unsafe impl<T: Send> Send for SegQueue<T> {}
@@ -57,13 +61,16 @@ impl<T> SegQueue<T> {
         SegQueue {
             lock: SpinLock::new(),
             items: UnsafeCell::new(VecDeque::new()),
+            len: AtomicUsize::new(0),
         }
     }
 
     fn with<R>(&self, f: impl FnOnce(&mut VecDeque<T>) -> R) -> R {
         self.lock.acquire();
         // SAFETY: the spinlock serializes all access to `items`.
-        let r = f(unsafe { &mut *self.items.get() });
+        let items = unsafe { &mut *self.items.get() };
+        let r = f(items);
+        self.len.store(items.len(), Ordering::Release);
         self.lock.release();
         r
     }
@@ -75,20 +82,27 @@ impl<T> SegQueue<T> {
 
     /// Take from the front.
     pub fn pop(&self) -> Option<T> {
+        if self.is_empty() {
+            return None;
+        }
         self.with(|q| q.pop_front())
     }
 
     /// Take up to half the queue (at least one element, at most `max`)
     /// from the front in one lock acquisition.
     pub fn pop_batch(&self, max: usize) -> Vec<T> {
+        if self.is_empty() {
+            return Vec::new();
+        }
         self.with(|q| {
             let n = q.len().div_ceil(2).min(max).min(q.len());
             q.drain(..n).collect()
         })
     }
 
+    /// The length at the last completed push or pop (lock-free).
     pub fn len(&self) -> usize {
-        self.with(|q| q.len())
+        self.len.load(Ordering::Acquire)
     }
 
     pub fn is_empty(&self) -> bool {
@@ -132,6 +146,23 @@ mod tests {
         assert_eq!(b, vec![0, 1, 2, 3, 4]);
         assert_eq!(q.len(), 5);
         assert_eq!(q.pop_batch(2), vec![5, 6]);
+    }
+
+    #[test]
+    fn len_tracks_every_push_and_pop() {
+        let q = SegQueue::new();
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+        assert!(q.pop_batch(8).is_empty());
+        q.push(1);
+        q.push(2);
+        q.push(3);
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop_batch(8), vec![2]);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some(3));
+        assert!(q.is_empty());
     }
 
     #[test]
